@@ -189,6 +189,30 @@ func TestServerTypedErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOutOfShapeRegion: a region read far outside a flat
+// store's shape reaches the client as the typed bad_request error, and
+// the server keeps serving.
+func TestServerRejectsOutOfShapeRegion(t *testing.T) {
+	st, err := store.Create(fsim.NewPerlmutterSim(), "s", core.COO, tensor.Shape{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write(mustCoords(t, 2, 1, 1), []float64{7}); err != nil {
+		t.Fatal(err)
+	}
+	_, c, _ := startServer(t, serve.StoreBackend(st), serve.Config{})
+	ctx := context.Background()
+	huge := tensor.Region{Start: []uint64{0, 0}, Size: []uint64{1 << 33, 1 << 33}}
+	_, _, err = c.Query(ctx, store.QueryRequest{Region: &huge, AsOf: store.AsOfLatest})
+	if !errors.Is(err, store.ErrBadRequest) || wire.CodeOf(err) != wire.CodeBadRequest {
+		t.Fatalf("out-of-shape region: err = %v (code %d), want bad_request", err, wire.CodeOf(err))
+	}
+	res, _, err := c.Query(ctx, store.QueryRequest{Probe: mustCoords(t, 2, 1, 1), AsOf: store.AsOfLatest})
+	if err != nil || res.Coords.Len() != 1 {
+		t.Fatalf("read after the rejected request: %v, %v", res, err)
+	}
+}
+
 // TestConcurrentClients hammers one server from many goroutines over
 // both a shared pipelined client and per-goroutine connections; run
 // with -race this is the serving layer's concurrency check.

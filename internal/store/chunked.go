@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"sparseart/internal/compress"
 	"sparseart/internal/core"
@@ -29,7 +32,11 @@ type Chunked struct {
 	shape  tensor.Shape // global extents
 	tile   tensor.Shape // tile extents
 	codec  compress.ID
-	stores map[string]*Store
+	// stores maps tile key to tile store. It is copy-on-write: readers
+	// load the published map and walk it without a lock, and tileStore
+	// publishes a new map, under createMu, when it materializes a tile.
+	stores   atomic.Pointer[map[string]*Store]
+	createMu sync.Mutex
 	// opts are forwarded to every tile Store, so tiles share the parent's
 	// observability registry, build options, and manifest policy.
 	opts []Option
@@ -97,9 +104,9 @@ func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tens
 	c := &Chunked{
 		fs: fs, prefix: prefix, kind: kind,
 		shape: shape.Clone(), tile: tile.Clone(),
-		stores: map[string]*Store{},
-		opts:   opts,
+		opts: opts,
 	}
+	c.stores.Store(&map[string]*Store{})
 	// Probe the option set once: misuse is rejected here (before any
 	// tile exists) rather than on the first write that materializes one.
 	var probe Store
@@ -148,22 +155,32 @@ func (c *Chunked) Obs() *obs.Registry { return c.obsReg() }
 // Close folds every tile's manifest log into its checkpoint, bounding
 // the replay work the next open of each tile pays. Tiles remain usable.
 func (c *Chunked) Close() error {
-	for _, key := range c.sortedTileKeys() {
-		if err := c.stores[key].Close(); err != nil {
-			return fmt.Errorf("store: close tile %s: %w", key, err)
+	for _, t := range c.sortedTiles() {
+		if err := t.st.Close(); err != nil {
+			return fmt.Errorf("store: close tile %s: %w", t.key, err)
 		}
 	}
 	return nil
 }
 
-// sortedTileKeys returns the non-empty tile keys in deterministic order.
-func (c *Chunked) sortedTileKeys() []string {
-	keys := make([]string, 0, len(c.stores))
-	for key := range c.stores {
-		keys = append(keys, key)
+// tileMap returns the published tile map. Callers must not modify it.
+func (c *Chunked) tileMap() map[string]*Store { return *c.stores.Load() }
+
+// tileRef is one materialized tile.
+type tileRef struct {
+	key string
+	st  *Store
+}
+
+// sortedTiles returns the non-empty tiles in deterministic key order.
+func (c *Chunked) sortedTiles() []tileRef {
+	m := c.tileMap()
+	tiles := make([]tileRef, 0, len(m))
+	for key, st := range m {
+		tiles = append(tiles, tileRef{key, st})
 	}
-	sort.Strings(keys)
-	return keys
+	slices.SortFunc(tiles, func(a, b tileRef) int { return strings.Compare(a.key, b.key) })
+	return tiles
 }
 
 // Shape returns the global shape.
@@ -176,12 +193,12 @@ func (c *Chunked) Kind() core.Kind { return c.kind }
 func (c *Chunked) Tile() tensor.Shape { return c.tile }
 
 // Tiles returns the number of non-empty tiles.
-func (c *Chunked) Tiles() int { return len(c.stores) }
+func (c *Chunked) Tiles() int { return len(c.tileMap()) }
 
 // Fragments sums live fragments across all tiles.
 func (c *Chunked) Fragments() int {
 	var total int
-	for _, s := range c.stores {
+	for _, s := range c.tileMap() {
 		total += s.Fragments()
 	}
 	return total
@@ -191,7 +208,7 @@ func (c *Chunked) Fragments() int {
 // the whole chunked store, not a single MVCC version.
 func (c *Chunked) Epoch() uint64 {
 	var total uint64
-	for _, s := range c.stores {
+	for _, s := range c.tileMap() {
 		total += s.Epoch()
 	}
 	return total
@@ -200,7 +217,7 @@ func (c *Chunked) Epoch() uint64 {
 // TotalBytes sums fragment bytes across all tiles.
 func (c *Chunked) TotalBytes() int64 {
 	var total int64
-	for _, s := range c.stores {
+	for _, s := range c.tileMap() {
 		total += s.TotalBytes()
 	}
 	return total
@@ -239,8 +256,14 @@ func (c *Chunked) tileShape(idx []uint64) tensor.Shape {
 
 func (c *Chunked) tileStore(idx []uint64) (*Store, error) {
 	key := tileKey(idx)
-	if s, ok := c.stores[key]; ok {
+	if s, ok := c.tileMap()[key]; ok {
 		return s, nil
+	}
+	c.createMu.Lock()
+	defer c.createMu.Unlock()
+	old := c.tileMap()
+	if s, ok := old[key]; ok {
+		return s, nil // another writer created it meanwhile
 	}
 	opts := c.opts
 	if c.cache != nil {
@@ -253,8 +276,13 @@ func (c *Chunked) tileStore(idx []uint64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.stores[key] = s
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(c.stores)))
+	next := make(map[string]*Store, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[key] = s
+	c.stores.Store(&next)
+	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(next)))
 	return s, nil
 }
 
@@ -369,6 +397,7 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	defer root.End()
 	total := &WriteReport{}
 	box := region.BBox()
+	tiles := c.tileMap()
 
 	// deleteInTile intersects the global region with one tile's frame
 	// and writes the tombstone there.
@@ -416,7 +445,7 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 		lo[d] = box.Min[d] / c.tile[d]
 		hi[d] = box.Max[d] / c.tile[d]
 		n := hi[d] - lo[d] + 1
-		if bounded && span > uint64(len(c.stores))/n {
+		if bounded && span > uint64(len(tiles))/n {
 			bounded = false
 		}
 		if bounded {
@@ -427,7 +456,7 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 	if bounded {
 		idx := append([]uint64(nil), lo...)
 		for {
-			if st, ok := c.stores[tileKey(idx)]; ok {
+			if st, ok := tiles[tileKey(idx)]; ok {
 				if err := deleteInTile(st, idx); err != nil {
 					return nil, err
 				}
@@ -448,10 +477,10 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 		return total, nil
 	}
 
-	for _, key := range c.sortedTileKeys() {
-		idx := c.tileIndexFromKey(key)
+	for _, t := range c.sortedTiles() {
+		idx := c.tileIndexFromKey(t.key)
 		if idx == nil {
-			return nil, fmt.Errorf("store: corrupt tile key %q", key)
+			return nil, fmt.Errorf("store: corrupt tile key %q", t.key)
 		}
 		inside := true
 		for d := range idx {
@@ -463,7 +492,7 @@ func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
 		if !inside {
 			continue
 		}
-		if err := deleteInTile(c.stores[key], idx); err != nil {
+		if err := deleteInTile(t.st, idx); err != nil {
 			return nil, err
 		}
 	}

@@ -77,6 +77,7 @@ func OpenChunked(fs fsim.FS, prefix string, opts ...Option) (*Chunked, error) {
 	if err != nil {
 		return nil, err
 	}
+	tiles := map[string]*Store{}
 	for _, key := range discoverTileKeys(fs, prefix, shape.Dims()) {
 		idx := c.tileIndexFromKey(key)
 		if idx == nil {
@@ -90,9 +91,10 @@ func OpenChunked(fs fsim.FS, prefix string, opts ...Option) (*Chunked, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open tile %s: %w", key, err)
 		}
-		c.stores[key] = s
+		tiles[key] = s
 	}
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(c.stores)))
+	c.stores.Store(&tiles)
+	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(tiles)))
 	return c, nil
 }
 

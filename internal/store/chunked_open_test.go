@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -105,6 +106,42 @@ func TestQueryContextCanceled(t *testing.T) {
 	_, _, err = st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestQueryRejectsOutOfShapeRegion: a region outside the store's
+// shape is a typed bad request under every strategy and budget, never
+// a panic. The first case is a volume that overflows uint64, which the
+// probe strategy used to materialize cell by cell.
+func TestQueryRejectsOutOfShapeRegion(t *testing.T) {
+	st, err := Create(newSim(t), "s", core.COO, tensor.Shape{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write(mustFromFlat(t, 2, 1, 1), []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	bad := []tensor.Region{
+		{Start: []uint64{0, 0}, Size: []uint64{1 << 33, 1 << 33}},
+		{Start: []uint64{0, 0}, Size: []uint64{11, 1}},
+		{Start: []uint64{10, 0}, Size: []uint64{1, 1}},
+		{Start: []uint64{1, 0}, Size: []uint64{math.MaxUint64, 1}}, // start+size wraps
+		{Start: []uint64{0, 0}, Size: []uint64{0, 1}},
+	}
+	ctx := context.Background()
+	for _, region := range bad {
+		for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+			for _, workers := range []int{0, 4} {
+				_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat, Workers: workers})
+				if !errors.Is(err, ErrBadRequest) {
+					t.Fatalf("region %v, %v, workers %d: err = %v, want ErrBadRequest", region, strat, workers, err)
+				}
+			}
+		}
+		_, err := st.Kernel(ctx, KernelRequest{Op: KernelSumRegion, Region: &region})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("sum_region %v: err = %v, want ErrBadRequest", region, err)
+		}
 	}
 }
 

@@ -24,18 +24,11 @@ import (
 // rejected: fragment counts are per tile, so a global version number
 // is not meaningful here.
 func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(); err != nil {
+	if err := req.validate(c.shape.Dims()); err != nil {
 		return nil, nil, err
 	}
 	if req.AsOf != AsOfLatest {
 		return nil, nil, fmt.Errorf("store: %w: as-of reads are not supported on chunked stores", ErrBadRequest)
-	}
-	dims := c.shape.Dims()
-	if req.Probe != nil && req.Probe.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
-	}
-	if req.Region != nil && req.Region.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
 	}
 	reg := c.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsQuery)
@@ -63,6 +56,20 @@ type globalHit struct {
 	val float64
 }
 
+// globalize appends a tile's result to hits, translated from the
+// frame of the tile at idx to global coordinates.
+func (c *Chunked) globalize(hits []globalHit, res *Result, idx []uint64) []globalHit {
+	for i, n := 0, res.Coords.Len(); i < n; i++ {
+		lp := res.Coords.At(i)
+		gp := make([]uint64, len(lp))
+		for d := range lp {
+			gp[d] = lp[d] + idx[d]*c.tile[d]
+		}
+		hits = append(hits, globalHit{p: gp, val: res.Values[i]})
+	}
+	return hits
+}
+
 // finishHits sorts the collected hits into global row-major order —
 // the same order the flat store's linear-address merge produces — and
 // materializes the Result.
@@ -87,22 +94,6 @@ func (c *Chunked) finishHits(hits []globalHit, rep *ReadReport) *Result {
 	return out
 }
 
-// mergeTileReport folds one tile's read report into the global one.
-func mergeTileReport(rep, r *ReadReport) {
-	rep.IO += r.IO
-	rep.Extract += r.Extract
-	rep.Probe += r.Probe
-	rep.Merge += r.Merge
-	rep.Fragments += r.Fragments
-	rep.Probed += r.Probed
-	rep.Scans += r.Scans
-	rep.Candidates += r.Candidates
-	rep.FilterSkipped += r.FilterSkipped
-	rep.CacheHits += r.CacheHits
-	rep.CacheMisses += r.CacheMisses
-	rep.BytesRead += r.BytesRead
-}
-
 // queryProbe partitions the probe by tile and reads each tile's slice
 // in tile-local coordinates; points outside the global shape or in
 // tiles never written are simply not found.
@@ -115,6 +106,7 @@ func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers 
 	}
 	parts := map[string]*part{}
 	var keys []string
+	tiles := c.tileMap()
 	local := make([]uint64, probe.Dims())
 	for i, n := 0, probe.Len(); i < n; i++ {
 		p := probe.At(i)
@@ -123,7 +115,7 @@ func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers 
 		}
 		idx := c.tileIndex(p)
 		key := tileKey(idx)
-		if _, ok := c.stores[key]; !ok {
+		if _, ok := tiles[key]; !ok {
 			continue
 		}
 		g, ok := parts[key]
@@ -146,19 +138,12 @@ func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers 
 			return nil, nil, err
 		}
 		g := parts[key]
-		res, r, err := c.stores[key].Query(ctx, QueryRequest{Probe: g.coords, AsOf: AsOfLatest, Workers: workers})
+		res, r, err := tiles[key].Query(ctx, QueryRequest{Probe: g.coords, AsOf: AsOfLatest, Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
-		mergeTileReport(rep, r)
-		for i, n := 0, res.Coords.Len(); i < n; i++ {
-			lp := res.Coords.At(i)
-			gp := make([]uint64, len(lp))
-			for d := range lp {
-				gp[d] = lp[d] + g.idx[d]*c.tile[d]
-			}
-			hits = append(hits, globalHit{p: gp, val: res.Values[i]})
-		}
+		addReadReport(rep, r)
+		hits = c.globalize(hits, res, g.idx)
 	}
 	return c.finishHits(hits, rep), rep, nil
 }
@@ -176,7 +161,7 @@ func (c *Chunked) tileClip(region tensor.Region, idx []uint64) (tensor.Region, b
 		if regEnd < region.Start[d] {
 			regEnd = math.MaxUint64 // start+size overflowed; clamp
 		}
-		l, h := max64(region.Start[d], origin), tileEnd
+		l, h := max(region.Start[d], origin), tileEnd
 		if regEnd < h {
 			h = regEnd
 		}
@@ -197,11 +182,11 @@ func (c *Chunked) queryRegion(ctx context.Context, region tensor.Region, strateg
 	defer root.End()
 	rep := &ReadReport{}
 	var hits []globalHit
-	for _, key := range c.sortedTileKeys() {
+	for _, t := range c.sortedTiles() {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		idx := c.tileIndexFromKey(key)
+		idx := c.tileIndexFromKey(t.key)
 		if idx == nil {
 			continue
 		}
@@ -209,19 +194,12 @@ func (c *Chunked) queryRegion(ctx context.Context, region tensor.Region, strateg
 		if !ok {
 			continue
 		}
-		res, r, err := c.stores[key].Query(ctx, QueryRequest{Region: &localReg, AsOf: AsOfLatest, Strategy: strategy, Workers: workers})
+		res, r, err := t.st.Query(ctx, QueryRequest{Region: &localReg, AsOf: AsOfLatest, Strategy: strategy, Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
-		mergeTileReport(rep, r)
-		for i, n := 0, res.Coords.Len(); i < n; i++ {
-			lp := res.Coords.At(i)
-			gp := make([]uint64, len(lp))
-			for d := range lp {
-				gp[d] = lp[d] + idx[d]*c.tile[d]
-			}
-			hits = append(hits, globalHit{p: gp, val: res.Values[i]})
-		}
+		addReadReport(rep, r)
+		hits = c.globalize(hits, res, idx)
 	}
 	return c.finishHits(hits, rep), rep, nil
 }
@@ -232,38 +210,16 @@ func (c *Chunked) queryRegion(ctx context.Context, region tensor.Region, strateg
 // TTV are rejected — their operand indexing is global, and the paper's
 // chunked remedy targets storage, not contraction.
 func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
-	reg := c.obsReg()
-	sp, ctx := reg.StartCtx(ctx, obsKernel)
-	if sp.Sampled() {
-		sp.SetAttrStr("kernel", req.Op.String())
-	}
-	res, err := c.kernelAt(ctx, req)
-	var rep *PushReport
-	if res != nil {
-		rep = res.Report
-	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, c.kind.String(), PushCost(rep), err)
-	return res, err
+	return runKernel(ctx, c.obsReg(), c.kind.String(), req, c.kernelAt)
 }
 
-// kernelAt runs the kernel across tiles.
+// kernelAt runs the kernel on every tile and sums the partials into
+// the global result, in tile order.
 func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	dims := c.shape.Dims()
+	size := uint64(1)
 	switch req.Op {
 	case KernelSumAll, KernelLiveNNZ:
-		total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			total.Values[0] += r.Values[0]
-			mergePushReport(total.Report, r.Report)
-		}
-		return total, nil
 	case KernelSumRegion:
 		if req.Region == nil {
 			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
@@ -271,61 +227,43 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if req.Region.Dims() != dims {
 			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
 		}
-		total := &KernelResult{Values: []float64{0}, Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			idx := c.tileIndexFromKey(key)
-			if idx == nil {
-				continue
-			}
-			localReg, ok := c.tileClip(*req.Region, idx)
-			if !ok {
-				continue
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Region: &localReg, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			total.Values[0] += r.Values[0]
-			mergePushReport(total.Report, r.Report)
-		}
-		return total, nil
 	case KernelNNZPerSlice:
 		if req.Mode < 0 || req.Mode >= dims {
 			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
 		}
-		total := &KernelResult{Values: make([]float64, c.shape[req.Mode]), Report: &PushReport{}}
-		for _, key := range c.sortedTileKeys() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			idx := c.tileIndexFromKey(key)
-			if idx == nil {
-				continue
-			}
-			r, err := c.stores[key].Kernel(ctx, KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers})
-			if err != nil {
-				return nil, err
-			}
-			origin := idx[req.Mode] * c.tile[req.Mode]
-			for i, v := range r.Values {
-				total.Values[origin+uint64(i)] += v
-			}
-			mergePushReport(total.Report, r.Report)
-		}
-		return total, nil
+		size = c.shape[req.Mode]
 	default:
 		return nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
 	}
-}
-
-// mergePushReport sums one tile's push-down report into the total.
-func mergePushReport(dst, src *PushReport) {
-	dst.Fragments += src.Fragments
-	dst.Skipped += src.Skipped
-	dst.Cells += src.Cells
-	dst.Shadowed += src.Shadowed
-	dst.Dead += src.Dead
+	total := &KernelResult{Values: make([]float64, size), Report: &PushReport{}}
+	for _, t := range c.sortedTiles() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		idx := c.tileIndexFromKey(t.key)
+		if idx == nil {
+			continue
+		}
+		sub := KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers}
+		if req.Region != nil {
+			localReg, ok := c.tileClip(*req.Region, idx)
+			if !ok {
+				continue
+			}
+			sub.Region = &localReg
+		}
+		r, err := t.st.Kernel(ctx, sub)
+		if err != nil {
+			return nil, err
+		}
+		var origin uint64 // where a per-slice partial lands in the global histogram
+		if req.Op == KernelNNZPerSlice {
+			origin = idx[req.Mode] * c.tile[req.Mode]
+		}
+		for i, v := range r.Values {
+			total.Values[origin+uint64(i)] += v
+		}
+		addPushReport(total.Report, r.Report)
+	}
+	return total, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -271,5 +272,70 @@ func TestChunkedAggregatesReports(t *testing.T) {
 	}
 	if rrep.Fragments != 2 || rrep.Found != 2 {
 		t.Fatalf("aggregate read report: %+v", rrep)
+	}
+}
+
+// TestChunkedTileCreationRace reads a chunked store while a writer
+// materializes new tiles. Run under -race: tile creation inserts into
+// the tile map that region queries, kernels and the accessors walk.
+// Every read must see a prefix of the writes, and the final read all
+// of them.
+func TestChunkedTileCreationRace(t *testing.T) {
+	shape, tile := tensor.Shape{64, 64}, tensor.Shape{8, 8}
+	c, err := NewChunked(newSim(t), "race", core.CSF, shape, tile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 64
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(0); i < writes; i++ {
+			p := tensor.NewCoords(2, 1)
+			p.Append(8*(i/8), 8*(i%8)) // one point in a new tile each call
+			if _, err := c.WriteBatch([]Batch{{Coords: p, Values: []float64{float64(i + 1)}}}, 1); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	whole, err := tensor.NewRegion(shape, []uint64{0, 0}, []uint64{64, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	check := func() int {
+		res, _, err := c.Query(ctx, QueryRequest{Region: &whole, AsOf: AsOfLatest, Strategy: StrategyAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Values {
+			p := res.Coords.At(i)
+			if want := float64(p[0]/8*8 + p[1]/8 + 1); res.Values[i] != want {
+				t.Fatalf("point %v = %v, want %v", p, res.Values[i], want)
+			}
+		}
+		return len(res.Values)
+	}
+	prev := 0
+	for i := 0; i < 200; i++ {
+		n := check()
+		if n < prev {
+			t.Fatalf("read %d saw %d points after %d", i, n, prev)
+		}
+		prev = n
+		if _, err := c.Kernel(ctx, KernelRequest{Op: KernelLiveNNZ, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Fragments() + c.Tiles()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := check(); n != writes {
+		t.Fatalf("final read saw %d points, want %d", n, writes)
+	}
+	if n := c.Tiles(); n != writes {
+		t.Fatalf("%d tiles, want %d", n, writes)
 	}
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -172,6 +174,29 @@ func TestDifferentialIndexKnob(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResult(t, "ReadRegionAuto", ra, rb)
+
+				// Every strategy under a worker pool: byte-identical to
+				// serial, with the index on and off.
+				for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+					var serial *Result
+					for _, workers := range []int{0, 4} {
+						req := QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat, Workers: workers}
+						label := fmt.Sprintf("Query %v workers=%d", strat, workers)
+						ra, _, err = on.Query(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rb, _, err = off.Query(context.Background(), req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResult(t, label, ra, rb)
+						if serial == nil {
+							serial = ra
+						}
+						requireSameResult(t, label+" vs serial", ra, serial)
+					}
+				}
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"sparseart/internal/obs"
 	"sparseart/internal/tensor"
 )
 
@@ -77,20 +78,27 @@ type KernelResult struct {
 // the wire protocol serves. Cancellation is checked per fragment by
 // the underlying push-down executor.
 func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
+	return runKernel(ctx, s.obsReg(), s.curKind().String(), req, s.kernelAt)
+}
+
+// runKernel rejects a region on an op that takes none, then runs the
+// kernel under its request span with cost attribution: the part
+// Store.Kernel and Chunked.Kernel share.
+func runKernel(ctx context.Context, reg *obs.Registry, kind string, req KernelRequest,
+	run func(context.Context, KernelRequest) (*KernelResult, error)) (*KernelResult, error) {
 	if req.Region != nil && req.Op != KernelSumRegion {
 		return nil, fmt.Errorf("store: %w: kernel %v takes no region", ErrBadRequest, req.Op)
 	}
-	reg := s.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsKernel)
 	if sp.Sampled() {
 		sp.SetAttrStr("kernel", req.Op.String())
 	}
-	res, err := s.kernelAt(ctx, req)
+	res, err := run(ctx, req)
 	var rep *PushReport
 	if res != nil {
 		rep = res.Report
 	}
-	FinishRequestSpan(reg, ctx, sp, obsKernel, s.curKind().String(), PushCost(rep), err)
+	FinishRequestSpan(reg, ctx, sp, obsKernel, kind, PushCost(rep), err)
 	return res, err
 }
 
@@ -98,26 +106,14 @@ func (s *Store) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, e
 func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	switch req.Op {
 	case KernelSumAll:
-		sum, rep, err := s.SumAllContext(ctx, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{sum}, Report: rep}, nil
+		return scalarResult(s.SumAllContext(ctx, req.Workers))
 	case KernelSumRegion:
 		if req.Region == nil {
 			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
 		}
-		sum, rep, err := s.SumRegionContext(ctx, *req.Region, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{sum}, Report: rep}, nil
+		return scalarResult(s.SumRegionContext(ctx, *req.Region, req.Workers))
 	case KernelLiveNNZ:
-		n, rep, err := s.LiveNNZContext(ctx, req.Workers)
-		if err != nil {
-			return nil, err
-		}
-		return &KernelResult{Values: []float64{float64(n)}, Report: rep}, nil
+		return scalarResult(s.LiveNNZContext(ctx, req.Workers))
 	case KernelNNZPerSlice:
 		counts, rep, err := s.NNZPerSliceContext(ctx, req.Mode, req.Workers)
 		if err != nil {
@@ -143,4 +139,12 @@ func (s *Store) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult,
 	default:
 		return nil, fmt.Errorf("store: %w: unknown kernel op %d", ErrBadRequest, uint8(req.Op))
 	}
+}
+
+// scalarResult wraps a scalar kernel's answer.
+func scalarResult[T int64 | float64](v T, rep *PushReport, err error) (*KernelResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &KernelResult{Values: []float64{float64(v)}, Report: rep}, nil
 }

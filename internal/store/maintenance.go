@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 
 	"sparseart/internal/advisor"
@@ -32,27 +33,15 @@ func (s *Store) ExportAll() (*tensor.Coords, []float64, error) {
 }
 
 // exportFrags materializes the live contents of the given fragment
-// list.
+// list: a serial whole-store scan through the read executor.
 func (s *Store) exportFrags(frags []fragRef) (*tensor.Coords, []float64, error) {
-	var hits []hit
-	for fi, fr := range frags {
-		if fr.nnz == 0 {
-			continue
-		}
-		e, err := s.fetchFragment(nil, fr, &ReadReport{})
-		if err != nil {
-			return nil, nil, err
-		}
-		it, ok := e.Reader.(core.Iterator)
-		if !ok {
-			return nil, nil, fmt.Errorf("store: %v reader cannot iterate", s.curKind())
-		}
-		it.Each(func(p []uint64, slot int) bool {
-			hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			return true
-		})
+	v := &readView{s: s, frags: frags}
+	q := &readSink{s: s, v: v, strategy: StrategyScan}
+	q.parts = q.one[:]
+	if err := runFragments(context.Background(), v.plan(nil, nil, len(frags)).data, 1, q); err != nil {
+		return nil, nil, err
 	}
-	res, _ := mergeHits(s, hits, tombstonesUpTo(frags, len(frags)))
+	res, _ := mergeHits(s, q.parts[0].hits, tombstonesUpTo(frags, len(frags)))
 	return res.Coords, res.Values, nil
 }
 

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -54,6 +56,34 @@ func TestReadParallelMatchesSerial(t *testing.T) {
 				}
 				if prep.Fragments != srep.Fragments || prep.Found != srep.Found {
 					t.Fatalf("workers=%d: report %+v vs %+v", workers, prep, srep)
+				}
+			}
+
+			// Every region strategy under a worker pool matches its
+			// serial run byte for byte.
+			region, err := tensor.NewRegion(tensor.Shape{16, 16, 16}, []uint64{2, 3, 1}, []uint64{12, 10, 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := st.ReadRegion(region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+				var srep *ReadReport
+				for _, workers := range []int{0, 4} {
+					label := fmt.Sprintf("%v workers=%d", strat, workers)
+					got, rep, err := st.Query(context.Background(), QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, label, got, want)
+					if srep == nil {
+						srep = rep
+					}
+					if rep.Fragments != srep.Fragments || rep.Scans != srep.Scans || rep.Probed != srep.Probed || rep.Found != srep.Found {
+						t.Fatalf("%s: report %+v vs serial %+v", label, rep, srep)
+					}
 				}
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"sparseart/internal/core"
 	"sparseart/internal/psort"
@@ -53,48 +52,9 @@ type PushReport struct {
 	Epoch uint64
 }
 
-// fragPushStats accumulates one worker's masking counts.
-type fragPushStats struct {
-	frags    int
-	cells    int64
-	shadowed int64
-	dead     int64
-}
-
 // errStopPush is the sentinel liveFragment returns when the consumer's
 // visit callback stops the walk; it never escapes the package.
 var errStopPush = errors.New("store: push-down stopped by consumer")
-
-// pushCandidates lists the data-fragment indices a push-down over the
-// pinned view must iterate, plus the count it could dismiss without a
-// fetch. With a region the spatial index prunes by bounding box and the
-// per-fragment coordinate filters dismiss bbox false positives (both
-// exact-negative, so the result set is identical with the index knob
-// off — only the lookup strategy differs). Without a region every data
-// fragment qualifies.
-func (s *Store) pushCandidates(v *readView, region *tensor.Region) (data []int, skipped int) {
-	if region == nil {
-		for i := range v.frags {
-			if v.frags[i].nnz > 0 {
-				data = append(data, i)
-			}
-		}
-		return data, 0
-	}
-	cands := v.overlapping(region.BBox(), len(v.frags))
-	for _, fi := range cands {
-		fr := &v.frags[fi]
-		if fr.nnz == 0 {
-			continue
-		}
-		if v.index != nil && fr.filter != nil && !fr.filter.MayOverlapRegion(*region) {
-			skipped++
-			continue
-		}
-		data = append(data, fi)
-	}
-	return data, skipped
-}
 
 // shadowSet lists the fragments published after fi whose bounding box
 // overlaps fi's — the only fragments that can mask fi's cells — split
@@ -120,7 +80,7 @@ func shadowSet(v *readView, fi int) (datas []int, tombs []tombstoneRef) {
 // subtrees; other formats filter). Shadow fragments are fetched lazily
 // — a fragment whose bbox overlaps but whose points never collide costs
 // at most filter probes. Returns errStopPush when visit stops the walk.
-func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit func(p []uint64, val float64) bool, st *fragPushStats) error {
+func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit func(p []uint64, val float64) bool, st *PushReport) error {
 	fr := v.frags[fi]
 	e, err := s.fetchFragment(nil, fr, &ReadReport{})
 	if err != nil {
@@ -130,7 +90,7 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 	if !ok {
 		return fmt.Errorf("store: %v reader cannot stream", s.curKind())
 	}
-	st.frags++
+	st.Fragments++
 
 	// Pass 1: last write wins inside the fragment. mergeHits keeps the
 	// final payload-order occurrence of a duplicated point; Lookup can
@@ -147,7 +107,7 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 	seq2, _ := streamReader(e.Reader, region)
 	for p, slot := range seq2 {
 		if winner[s.lin.Linearize(p)] != slot {
-			st.shadowed++
+			st.Shadowed++
 			continue
 		}
 		masked := false
@@ -174,7 +134,7 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 			}
 		}
 		if masked {
-			st.shadowed++
+			st.Shadowed++
 			continue
 		}
 		for _, tb := range shadowTombs {
@@ -184,10 +144,10 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 			}
 		}
 		if masked {
-			st.dead++
+			st.Dead++
 			continue
 		}
-		st.cells++
+		st.Cells++
 		if !visit(p, e.Values[slot]) {
 			return errStopPush
 		}
@@ -218,37 +178,16 @@ func (s *Store) ScanLive(region *tensor.Region, visit func(p []uint64, val float
 // before each fragment's walk, so a server deadline stops the scan at
 // a fragment boundary.
 func (s *Store) ScanLiveContext(ctx context.Context, region *tensor.Region, visit func(p []uint64, val float64) bool) (*PushReport, error) {
-	v := s.acquireView()
-	defer v.release()
-	rep := &PushReport{Epoch: v.epoch}
-	err := s.scanLiveView(ctx, v, region, visit, rep)
+	// A budget of one keeps the walk in manifest order, which Convert's
+	// output bytes depend on.
+	_, rep, err := runPush(ctx, s, region, 1,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, p []uint64, val float64) bool { return visit(p, val) })
 	if err != nil && err != errStopPush {
 		return nil, err
 	}
 	s.pushCounters("scan", rep)
 	return rep, nil
-}
-
-// scanLiveView is ScanLive's body over an already-pinned view.
-func (s *Store) scanLiveView(ctx context.Context, v *readView, region *tensor.Region, visit func(p []uint64, val float64) bool, rep *PushReport) error {
-	data, skipped := s.pushCandidates(v, region)
-	rep.Skipped = skipped
-	var st fragPushStats
-	defer func() {
-		rep.Fragments += st.frags
-		rep.Cells += st.cells
-		rep.Shadowed += st.shadowed
-		rep.Dead += st.dead
-	}()
-	for _, fi := range data {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.liveFragment(v, fi, region, visit, &st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pushCounters publishes a push-down execution's totals.
@@ -263,95 +202,28 @@ func (s *Store) pushCounters(op string, rep *PushReport) {
 	reg.Counter("store.pushdown.dead", "kind", kind, "op", op).Add(rep.Dead)
 }
 
-// pushRun is the parallel push-down executor: data fragments fan out
-// across a psort-bounded worker pool, each worker folds its fragments'
-// live cells into a private accumulator, and the per-worker partials
-// merge under one mutex when the feed drains. Merge order is
-// nondeterministic, so float results can differ in rounding from a
-// serial pass — exactly like any parallel reduction; integer-valued
-// data is exact.
-//
-// Cancellation is checked per fragment: once ctx reports done, workers
-// drain the remaining feed without touching it and the run returns
-// ctx.Err().
+// pushRun runs one kernel through the executor under a psort worker
+// budget (< 1: every core): each worker folds its fragments' live cells
+// into a private accumulator, and the partials merge when the run
+// drains. Merge order is nondeterministic, so float results can differ
+// in rounding from a serial pass — exactly like any parallel
+// reduction; integer-valued data is exact.
 func pushRun[A any](ctx context.Context, s *Store, op string, workers int, region *tensor.Region,
 	newAcc func() A, visit func(acc A, p []uint64, val float64), merge func(dst, src A)) (A, *PushReport, error) {
-	var zero A
-	v := s.acquireView()
-	defer v.release()
-	rep := &PushReport{Epoch: v.epoch}
-	data, skipped := s.pushCandidates(v, region)
-	rep.Skipped = skipped
-	result := newAcc()
-	if len(data) == 0 {
-		s.pushCounters(op, rep)
-		return result, rep, nil
+	accs, rep, err := runPush(ctx, s, region, psort.Workers(workers), newAcc,
+		func(acc A, p []uint64, val float64) bool {
+			visit(acc, p, val)
+			return true
+		})
+	if err != nil {
+		var zero A
+		return zero, nil, err
 	}
-	workers = psort.Workers(workers)
-	if workers > len(data) {
-		workers = len(data)
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			local := newAcc()
-			var st fragPushStats
-			for fi := range feed {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if !stop {
-					if err := ctx.Err(); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						stop = true
-					}
-				}
-				if stop {
-					continue
-				}
-				err := s.liveFragment(v, fi, region, func(p []uint64, val float64) bool {
-					visit(local, p, val)
-					return true
-				}, &st)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-			mu.Lock()
-			merge(result, local)
-			rep.Fragments += st.frags
-			rep.Cells += st.cells
-			rep.Shadowed += st.shadowed
-			rep.Dead += st.dead
-			mu.Unlock()
-		}()
-	}
-	for _, fi := range data {
-		feed <- fi
-	}
-	close(feed)
-	wg.Wait()
-	if firstErr != nil {
-		return zero, nil, firstErr
+	for _, a := range accs[1:] {
+		merge(accs[0], a)
 	}
 	s.pushCounters(op, rep)
-	return result, rep, nil
+	return accs[0], rep, nil
 }
 
 // SpMV computes y = A·x over the stored 2D tensor without exporting it:
@@ -375,11 +247,14 @@ func (s *Store) SpMVContext(ctx context.Context, x []float64, workers int) ([]fl
 	return pushRun(ctx, s, "spmv", workers, nil,
 		func() []float64 { return make([]float64, rows) },
 		func(y []float64, p []uint64, val float64) { y[p[0]] += val * x[p[1]] },
-		func(dst, src []float64) {
-			for i, v := range src {
-				dst[i] += v
-			}
-		})
+		addVec[float64])
+}
+
+// addVec merges one worker's dense partial into another.
+func addVec[T int64 | float64](dst, src []T) {
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // TTV contracts the stored tensor with a vector along one mode,
@@ -437,11 +312,7 @@ func (s *Store) TTVContext(ctx context.Context, mode int, vec []float64, workers
 			}
 			a.out[lin.Linearize(a.q)] += val * vec[p[mode]]
 		},
-		func(dst, src *ttvAcc) {
-			for i, v := range src.out {
-				dst.out[i] += v
-			}
-		})
+		func(dst, src *ttvAcc) { addVec(dst.out, src.out) })
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -456,7 +327,12 @@ func (s *Store) SumAll(workers int) (float64, *PushReport, error) {
 // SumAllContext is SumAll under a context; cancellation stops fragment
 // work at the next fragment boundary.
 func (s *Store) SumAllContext(ctx context.Context, workers int) (float64, *PushReport, error) {
-	sum, rep, err := pushRun(ctx, s, "sum", workers, nil,
+	return s.sum(ctx, "sum", nil, workers)
+}
+
+// sum reduces the live values over region (the whole store when nil).
+func (s *Store) sum(ctx context.Context, op string, region *tensor.Region, workers int) (float64, *PushReport, error) {
+	sum, rep, err := pushRun(ctx, s, op, workers, region,
 		func() *float64 { return new(float64) },
 		func(acc *float64, _ []uint64, val float64) { *acc += val },
 		func(dst, src *float64) { *dst += *src })
@@ -480,17 +356,10 @@ func (s *Store) SumRegionContext(ctx context.Context, region tensor.Region, work
 	if region.Dims() != s.shape.Dims() {
 		return 0, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
 	}
-	if _, err := tensor.NewRegion(s.shape, region.Start, region.Size); err != nil {
-		return 0, nil, err
+	if err := region.Validate(s.shape); err != nil {
+		return 0, nil, fmt.Errorf("store: %w: %w", ErrBadRequest, err)
 	}
-	sum, rep, err := pushRun(ctx, s, "sum_region", workers, &region,
-		func() *float64 { return new(float64) },
-		func(acc *float64, _ []uint64, val float64) { *acc += val },
-		func(dst, src *float64) { *dst += *src })
-	if err != nil {
-		return 0, nil, err
-	}
-	return *sum, rep, nil
+	return s.sum(ctx, "sum_region", &region, workers)
 }
 
 // LiveNNZ counts the store's live cells — the number ExportAll would
@@ -529,9 +398,5 @@ func (s *Store) NNZPerSliceContext(ctx context.Context, mode int, workers int) (
 	return pushRun(ctx, s, "nnz_slice", workers, nil,
 		func() []int64 { return make([]int64, ext) },
 		func(acc []int64, p []uint64, _ float64) { acc[p[mode]]++ },
-		func(dst, src []int64) {
-			for i, v := range src {
-				dst[i] += v
-			}
-		})
+		addVec[int64])
 }

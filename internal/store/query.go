@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sparseart/internal/obs"
-	"sparseart/internal/psort"
 	"sparseart/internal/tensor"
 )
 
@@ -19,9 +18,9 @@ import (
 // probe fragments, and which version bound applies. Query collapses
 // those axes into one serializable QueryRequest — the exact struct the
 // wire protocol (internal/wire) carries — and threads a
-// context.Context through the fragment loops so a server-side deadline
-// stops in-store work instead of letting it run to completion. The
-// legacy methods remain as thin wrappers.
+// context.Context through the per-fragment executor (exec.go) so a
+// server-side deadline stops in-store work instead of letting it run
+// to completion. The legacy methods remain as thin wrappers.
 
 // Typed request errors. They satisfy errors.Is through fmt.Errorf
 // wrapping and survive the wire protocol losslessly: internal/wire
@@ -91,14 +90,15 @@ type QueryRequest struct {
 	AsOf int64
 	// Strategy picks the region execution mode; see Strategy.
 	Strategy Strategy
-	// Workers bounds the fragment-probing worker pool: 0 or 1 probes
-	// serially, n > 1 uses n workers, negative uses every core.
+	// Workers bounds the per-fragment worker pool under any strategy:
+	// 0 or 1 visits fragments serially, n > 1 uses n workers, negative
+	// uses every core.
 	Workers int
 }
 
 // validate rejects structurally bad requests before any view is
-// pinned. Dimension checks happen later, against the store's shape.
-func (req *QueryRequest) validate() error {
+// pinned, including coordinates that do not have the store's dims.
+func (req *QueryRequest) validate(dims int) error {
 	if (req.Probe == nil) == (req.Region == nil) {
 		return fmt.Errorf("store: %w: exactly one of Probe or Region must be set", ErrBadRequest)
 	}
@@ -114,6 +114,12 @@ func (req *QueryRequest) validate() error {
 	if req.Region != nil && req.AsOf != AsOfLatest {
 		return fmt.Errorf("store: %w: as-of reads take a probe target", ErrBadRequest)
 	}
+	if req.Probe != nil && req.Probe.Dims() != dims {
+		return fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
+	}
+	if req.Region != nil && req.Region.Dims() != dims {
+		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+	}
 	return nil
 }
 
@@ -123,15 +129,13 @@ func (req *QueryRequest) validate() error {
 // fragment: a canceled ctx stops before the next fetch/probe/scan and
 // returns ctx.Err().
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(); err != nil {
+	if err := req.validate(s.shape.Dims()); err != nil {
 		return nil, nil, err
 	}
-	dims := s.shape.Dims()
-	if req.Probe != nil && req.Probe.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
-	}
-	if req.Region != nil && req.Region.Dims() != dims {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+	if req.Region != nil {
+		if err := req.Region.Validate(s.shape); err != nil {
+			return nil, nil, fmt.Errorf("store: %w: %w", ErrBadRequest, err)
+		}
 	}
 	reg := s.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsQuery)
@@ -141,35 +145,6 @@ func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRepo
 	res, rep, err := s.queryAt(ctx, req)
 	FinishRequestSpan(reg, ctx, sp, obsQuery, s.curKind().String(), ReadCost(rep), err)
 	return res, rep, err
-}
-
-// queryAt dispatches a validated request against a pinned view.
-func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	v := s.acquireView()
-	defer v.release()
-	limit := len(v.frags)
-	if req.AsOf != AsOfLatest {
-		if req.AsOf > int64(len(v.frags)) {
-			return nil, nil, fmt.Errorf("store: %w: version %d outside [0, %d]", ErrBadRequest, req.AsOf, len(v.frags))
-		}
-		limit = int(req.AsOf)
-	}
-	if req.Region != nil {
-		switch req.Strategy {
-		case StrategyScan:
-			return s.readRegionScanAt(ctx, v, *req.Region, limit)
-		case StrategyAuto:
-			return s.readRegionAutoAt(ctx, v, *req.Region, limit)
-		}
-		if workers := psort.Workers(req.Workers); workers > 1 && req.Workers != 0 {
-			return s.readParallelAt(ctx, v, req.Region.Coords(), limit, workers)
-		}
-		return s.readAt(ctx, v, req.Region.Coords(), limit)
-	}
-	if workers := psort.Workers(req.Workers); workers > 1 && req.Workers != 0 {
-		return s.readParallelAt(ctx, v, req.Probe, limit, workers)
-	}
-	return s.readAt(ctx, v, req.Probe, limit)
 }
 
 // Read implements Algorithm 3's READ for an arbitrary probe list: find

@@ -150,12 +150,6 @@ type tombstoneRef struct {
 	region tensor.Region
 }
 
-// tombstonesBefore lists the deletion fragments among the first limit
-// fragments of the current snapshot.
-func (s *Store) tombstonesBefore(limit int) []tombstoneRef {
-	return tombstonesUpTo(s.currentFrags(), limit)
-}
-
 // tombstonesUpTo lists the deletion fragments among the first limit
 // entries of frags.
 func tombstonesUpTo(frags []fragRef, limit int) []tombstoneRef {
@@ -822,76 +816,6 @@ type hit struct {
 	val  float64
 }
 
-// readAt probes the first limit fragments of the pinned view v.
-// Cancellation is checked once per candidate fragment.
-func (s *Store) readAt(ctx context.Context, v *readView, probe *tensor.Coords, limit int) (*Result, *ReadReport, error) {
-	rep := &ReadReport{Epoch: v.epoch}
-	s.takeCost()
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	root, _ := reg.StartCtx(ctx, obsRead)
-	defer root.End()
-	queryBox, any := probe.Bounds()
-	if !any {
-		return &Result{Coords: tensor.NewCoords(s.shape.Dims(), 0)}, rep, nil
-	}
-
-	var hits []hit
-	cands := v.overlapping(queryBox, limit)
-	rep.Candidates = len(cands)
-	var skipped int64
-	for _, fi := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		fr := v.frags[fi]
-		if fr.nnz == 0 {
-			continue // tombstones join at the merge, not the probe loop
-		}
-		if v.index != nil && fr.filter != nil && !filterMayContainProbe(fr.filter, fr.bbox, probe) {
-			skipped++
-			continue
-		}
-		rep.Fragments++
-
-		e, err := s.fetchFragment(root, fr, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		sp := root.Child(obsReadProbe)
-		t := time.Now()
-		n := probe.Len()
-		for i := 0; i < n; i++ {
-			p := probe.At(i)
-			if !fr.bbox.Contains(p) {
-				continue
-			}
-			rep.Probed++
-			if slot, ok := e.Reader.Lookup(p); ok {
-				hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			}
-		}
-		sp.End()
-		rep.Probe += time.Since(t)
-	}
-	if skipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(skipped)
-	}
-	rep.FilterSkipped = int(skipped)
-
-	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, hits, v.overlapTombs(cands))
-	sp.End()
-	rep.Merge = mergeDur
-	rep.Found = res.Coords.Len()
-	reg.Counter("store.read.count", "kind", kind).Inc()
-	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
-	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
-	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, nil
-}
-
 // filterMayContainProbe asks a fragment's coordinate filter whether any
 // probe point inside its bounding box may be stored. False means the
 // fragment provably holds none of the probe points (filters have no
@@ -914,11 +838,11 @@ func filterMayContainProbe(f *filter.Filter, box tensor.BBox, probe *tensor.Coor
 // psort's cutoff.
 func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Duration) {
 	t := time.Now()
-	// The comparison must be strict (a total order): ReadParallel
-	// appends hits in nondeterministic worker order, and a duplicated
-	// probe point yields identical (addr, frag) pairs, so ties fall
-	// through to the index. Entries equal on (addr, frag) carry the
-	// same value, which keeps the merged result deterministic. A plain
+	// The comparison must be strict (a total order): a pooled read
+	// concatenates its workers' hits with fragments in nondeterministic
+	// order, and ties on (addr, frag) fall through to the index. Each
+	// fragment's hits stay contiguous and in visit order, so that
+	// tie-break keeps the result identical to a serial read. A plain
 	// SortPermByKey on the address would lose the fragment-recency
 	// tie-break that newest-wins depends on.
 	perm := psort.SortPerm(len(hits), 0, func(a, b int) bool {
@@ -960,77 +884,6 @@ func mergeHits(s *Store, hits []hit, tombs []tombstoneRef) (*Result, time.Durati
 		reg.Counter("store.merge.tombstone_dead", "kind", kind).Add(tombDead)
 	}
 	return out, time.Since(t)
-}
-
-// readRegionScanAt reads a rectangular region in scan mode against the
-// first limit fragments of the pinned view v: each overlapping
-// fragment enumerates its stored points and filters by containment —
-// O(n) per fragment regardless of region volume. CSF prunes the walk
-// through its tree (core.RegionScanner); the other organizations fall
-// back to a full iteration. Cancellation is checked once per fragment.
-func (s *Store) readRegionScanAt(ctx context.Context, v *readView, region tensor.Region, limit int) (*Result, *ReadReport, error) {
-	rep := &ReadReport{Epoch: v.epoch}
-	s.takeCost()
-	reg := s.obsReg()
-	kind := s.curKind().String()
-	root, _ := reg.StartCtx(ctx, obsRead)
-	defer root.End()
-	queryBox := region.BBox()
-
-	var hits []hit
-	cands := v.overlapping(queryBox, limit)
-	rep.Candidates = len(cands)
-	var skipped int64
-	for _, fi := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		fr := v.frags[fi]
-		if fr.nnz == 0 {
-			continue
-		}
-		if v.index != nil && fr.filter != nil && !fr.filter.MayOverlapRegion(region) {
-			skipped++
-			continue
-		}
-		rep.Fragments++
-
-		e, err := s.fetchFragment(root, fr, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-
-		sp := root.Child(obsReadProbe)
-		t := time.Now()
-		visit := func(p []uint64, slot int) bool {
-			rep.Probed++
-			hits = append(hits, hit{addr: s.lin.Linearize(p), frag: fi, val: e.Values[slot]})
-			return true
-		}
-		if err := scanFragment(s.curKind(), e.Reader, region, visit); err != nil {
-			sp.End()
-			reg.Counter("store.read.errors", "kind", kind).Inc()
-			return nil, nil, err
-		}
-		sp.End()
-		rep.Probe += time.Since(t)
-		rep.Scans++
-	}
-	if skipped > 0 {
-		reg.Counter("store.filter.skipped", "kind", kind).Add(skipped)
-	}
-	rep.FilterSkipped = int(skipped)
-	sp := root.Child(obsReadMerge)
-	res, mergeDur := mergeHits(s, hits, v.overlapTombs(cands))
-	sp.End()
-	rep.Merge = mergeDur
-	rep.Found = res.Coords.Len()
-	reg.Counter("store.read.count", "kind", kind).Inc()
-	reg.Counter("store.read.fragments", "kind", kind).Add(int64(rep.Fragments))
-	reg.Counter("store.read.scans", "kind", kind).Add(int64(rep.Scans))
-	reg.Counter("store.read.probed", "kind", kind).Add(int64(rep.Probed))
-	reg.Counter("store.read.found", "kind", kind).Add(int64(rep.Found))
-	return res, rep, nil
 }
 
 // ReadPoints probes specific points and returns values aligned with the

@@ -64,19 +64,30 @@ type Region struct {
 
 // NewRegion validates and builds a region inside shape.
 func NewRegion(shape Shape, start, size []uint64) (Region, error) {
-	if len(start) != len(shape) || len(size) != len(shape) {
-		return Region{}, fmt.Errorf("tensor: region rank mismatch with shape %v", shape)
-	}
-	for i := range start {
-		if size[i] == 0 {
-			return Region{}, fmt.Errorf("tensor: region size has zero extent in dim %d", i)
-		}
-		if start[i] >= shape[i] || start[i]+size[i] > shape[i] {
-			return Region{}, fmt.Errorf("tensor: region [%d,%d) exceeds extent %d in dim %d",
-				start[i], start[i]+size[i], shape[i], i)
-		}
+	if err := (Region{Start: start, Size: size}).Validate(shape); err != nil {
+		return Region{}, err
 	}
 	return Region{Start: append([]uint64(nil), start...), Size: append([]uint64(nil), size...)}, nil
+}
+
+// Validate checks that r has shape's rank, no zero extent, and lies
+// inside shape. It allocates only on failure.
+func (r Region) Validate(shape Shape) error {
+	if len(r.Start) != len(shape) || len(r.Size) != len(shape) {
+		return fmt.Errorf("tensor: region rank mismatch with shape %v", shape)
+	}
+	for i := range r.Start {
+		if r.Size[i] == 0 {
+			return fmt.Errorf("tensor: region size has zero extent in dim %d", i)
+		}
+		// Compared as a difference so a start+size that wraps past
+		// 2^64 cannot slip through.
+		if r.Start[i] >= shape[i] || r.Size[i] > shape[i]-r.Start[i] {
+			return fmt.Errorf("tensor: region at %d of size %d exceeds extent %d in dim %d",
+				r.Start[i], r.Size[i], shape[i], i)
+		}
+	}
+	return nil
 }
 
 // Dims returns the number of dimensions.

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"sparseart/internal/buf"
 	"sparseart/internal/obs"
@@ -152,7 +153,7 @@ func ReadFrameTrace(r io.Reader) (typ uint8, id uint64, tc obs.TraceContext, pay
 		typ &^= FlagTrace
 		var blk [traceBlockLen]byte
 		if _, err = io.ReadFull(r, blk[:]); err != nil {
-			return 0, 0, obs.TraceContext{}, nil, err
+			return 0, 0, obs.TraceContext{}, nil, truncated(err)
 		}
 		tr := buf.NewReader(blk[:])
 		tc.Hi = tr.U64()
@@ -160,11 +161,41 @@ func ReadFrameTrace(r io.Reader) (typ uint8, id uint64, tc obs.TraceContext, pay
 		tc.Span = tr.U64()
 		tc.Sampled = tr.U8()&traceFlagSampled != 0
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if payload, err = readPayload(r, int(n)); err != nil {
 		return 0, 0, obs.TraceContext{}, nil, err
 	}
 	return typ, id, tc, payload, nil
+}
+
+// payloadChunk bounds what ReadFrameTrace allocates ahead of the bytes
+// that arrive. A payload up to this size takes one exact allocation;
+// a larger one grows as it is read, so a header announcing a huge frame
+// costs memory only for the bytes the peer actually sends.
+const payloadChunk = 256 << 10
+
+// readPayload reads an n-byte frame payload.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, 0, min(n, payloadChunk))
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(n-len(p), cap(p))) // double, capped at n
+		}
+		m, err := io.ReadFull(r, p[len(p):min(n, cap(p))])
+		p = p[:len(p)+m]
+		if err != nil {
+			return nil, truncated(err)
+		}
+	}
+	return p, nil
+}
+
+// truncated maps EOF inside a frame to io.ErrUnexpectedEOF: only EOF
+// before a header is a clean close.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Code is a wire-stable error code. Codes never change meaning across

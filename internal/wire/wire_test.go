@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -46,6 +49,52 @@ func TestFrameRejectsOversize(t *testing.T) {
 	hdr := []byte{0xff, 0xff, 0xff, 0xff, MsgQuery, 0, 0, 0, 0, 0, 0, 0, 0}
 	if _, _, _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("oversize frame accepted")
+	}
+}
+
+// TestFrameHeaderDoesNotPreallocate: a header announcing a MaxFrame
+// payload followed by EOF costs almost no memory and reports the
+// truncation, instead of allocating the announced gigabyte up front.
+func TestFrameHeaderDoesNotPreallocate(t *testing.T) {
+	hdr := make([]byte, frameHeaderLen)
+	binary.LittleEndian.PutUint32(hdr, MaxFrame)
+	hdr[4] = MsgQuery
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("truncated MaxFrame header allocated %d bytes", d)
+	}
+}
+
+// TestFrameLargePayloadRoundTrip reads a payload several chunks long
+// and one that ends mid-chunk.
+func TestFrameLargePayloadRoundTrip(t *testing.T) {
+	for _, n := range []int{payloadChunk, payloadChunk + 1, 3*payloadChunk + 17} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var b bytes.Buffer
+		if err := WriteFrame(&b, MsgOK, 9, payload); err != nil {
+			t.Fatal(err)
+		}
+		_, _, got, err := ReadFrame(&b)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("n=%d: %d bytes back, err %v", n, len(got), err)
+		}
+		b.Reset()
+		if err := WriteFrame(&b, MsgOK, 9, payload); err != nil {
+			t.Fatal(err)
+		}
+		b.Truncate(b.Len() - 1)
+		if _, _, _, err := ReadFrame(&b); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("n=%d truncated: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
 	}
 }
 

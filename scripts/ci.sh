@@ -30,11 +30,13 @@ go test -race ./...
 
 # Race-hammer tier: readers, writers, a deleter, and a compactor pound
 # one store per organization under the race detector while every result
-# is differentially verified against an epoch-indexed oracle. The suite
-# above already runs it once at the default scale; this tier repeats it
-# with more iterations (HAMMER_COUNT, default 3) so interleavings vary.
+# is differentially verified against an epoch-indexed oracle; a chunked
+# store materializes new tiles while region reads and kernels walk its
+# tile map. The suite above already runs them once at the default scale;
+# this tier repeats them with more iterations (HAMMER_COUNT, default 3)
+# so interleavings vary.
 echo "==> race hammer (concurrent serving, ${HAMMER_COUNT:-3} rounds)"
-go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads' \
+go test -race -run 'TestConcurrentHammer|TestNoMixedEpochReads|TestChunkedTileCreationRace' \
     -count "${HAMMER_COUNT:-3}" ./internal/store/
 
 # The storage engine's read paths must behave identically with the
