@@ -398,13 +398,13 @@ func BenchmarkAblationBCOO(b *testing.B) {
 
 // BenchmarkAblationScanVsProbe compares the two region-read strategies:
 // the paper's per-cell probing (O(n_read) probes) against scan mode
-// (one pass over each fragment's points, with CSF pruning its tree).
-// Probing collapses for COO/LINEAR on large windows; scanning makes
-// them linear again.
+// (one pass over each fragment's points; CSF prunes its tree and
+// GCSR++/GCSC++ seek within their slices). Probing collapses for
+// COO/LINEAR on large windows; scanning makes them linear again.
 func BenchmarkAblationScanVsProbe(b *testing.B) {
 	ds := dataset(b, bench.Case{Pattern: gen.GSP, Dims: 3})
 	shape := ds.Data.Config.Shape
-	for _, kind := range []core.Kind{core.COO, core.Linear, core.GCSR, core.CSF} {
+	for _, kind := range []core.Kind{core.COO, core.Linear, core.GCSR, core.GCSC, core.CSF} {
 		kind := kind
 		fs := fsim.NewPerlmutterSim()
 		st, err := store.Create(fs, "sv", kind, shape)

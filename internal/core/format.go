@@ -147,9 +147,11 @@ type Iterator interface {
 }
 
 // RegionScanner is an optional fast path: visit only the stored points
-// inside a region, exploiting index structure to prune (e.g. the CSF
-// tree descends only subtrees intersecting the region). Readers without
-// it fall back to Each plus a containment filter.
+// inside a region, exploiting index structure to prune. The CSF tree
+// descends only subtrees intersecting the region; GCSR++ and GCSC++
+// binary-search their compressed-axis slices. The walk visits the same
+// points, slots and order as Each followed by a containment filter,
+// which is also what readers without it fall back to.
 type RegionScanner interface {
 	ScanRegion(r tensor.Region, visit func(p []uint64, slot int) bool)
 }
@@ -174,7 +176,7 @@ type Streamer interface {
 // RegionStreamer is the region-restricted variant of Streamer: the walk
 // visits only stored points inside the region, pruning via index
 // structure where the organization allows it (CSF descends only
-// intersecting subtrees).
+// intersecting subtrees, GCSR++/GCSC++ seek within their slices).
 type RegionStreamer interface {
 	RegionPoints(r tensor.Region) PointSeq
 }

@@ -15,6 +15,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 
 	"sparseart/internal/buf"
 	"sparseart/internal/core"
@@ -209,9 +210,16 @@ func (f Format) Open(payload []byte, shape tensor.Shape) (core.Reader, error) {
 			return nil, fmt.Errorf("gcs: pointer vector not monotone at %d", i)
 		}
 	}
-	for i, mn := range ind {
-		if mn >= minorExt {
-			return nil, fmt.Errorf("gcs: minor coordinate %d out of range at %d", mn, i)
+	// Lookup and ScanRegion seek within a slice, so its minor
+	// coordinates must be in range and sorted.
+	for mj := 0; mj+1 < len(ptr); mj++ {
+		for k := ptr[mj]; k < ptr[mj+1]; k++ {
+			if ind[k] >= minorExt {
+				return nil, fmt.Errorf("gcs: minor coordinate %d out of range at %d", ind[k], k)
+			}
+			if k > ptr[mj] && ind[k] < ind[k-1] {
+				return nil, fmt.Errorf("gcs: minor coordinates not sorted at %d", k)
+			}
 		}
 	}
 	lin, err := tensor.NewLinearizer(shape, tensor.RowMajor)
@@ -275,18 +283,15 @@ func (r *reader) Lookup(p []uint64) (int, bool) {
 // order by walking the pointer vector. The point slice is reused;
 // callbacks must not retain it.
 func (r *reader) Each(visit func(p []uint64, slot int) bool) {
-	p := make([]uint64, r.lin.Shape().Dims())
+	r.each(make([]uint64, r.lin.Shape().Dims()), visit)
+}
+
+// each is Each over a caller-supplied point slice.
+func (r *reader) each(p []uint64, visit func(p []uint64, slot int) bool) {
 	majorExt := uint64(len(r.ptr)) - 1
 	for mj := uint64(0); mj < majorExt; mj++ {
 		for k := r.ptr[mj]; k < r.ptr[mj+1]; k++ {
-			mn := r.ind[k]
-			var r2, c2 uint64
-			if r.orient == Row {
-				r2, c2 = mj, mn
-			} else {
-				r2, c2 = mn, mj
-			}
-			r.lin.Delinearize(r2*r.cols+c2, p)
+			r.lin.Delinearize(r.addr(mj, r.ind[k]), p)
 			if !visit(p, int(k)) {
 				return
 			}
@@ -294,29 +299,158 @@ func (r *reader) Each(visit func(p []uint64, slot int) bool) {
 	}
 }
 
+// addr is the row-major linear address of the point stored at
+// compressed-axis index mj and minor coordinate mn.
+func (r *reader) addr(mj, mn uint64) uint64 {
+	if r.orient == Row {
+		return mj*r.cols + mn
+	}
+	return mn*r.cols + mj
+}
+
 // Points implements core.Streamer: the same pointer-vector walk as
 // Each, as a lazy range-over-func sequence. The point slice is reused
 // between yields.
 func (r *reader) Points() core.PointSeq {
 	return func(yield func(p []uint64, slot int) bool) {
-		p := make([]uint64, r.lin.Shape().Dims())
-		majorExt := uint64(len(r.ptr)) - 1
-		for mj := uint64(0); mj < majorExt; mj++ {
-			for k := r.ptr[mj]; k < r.ptr[mj+1]; k++ {
-				mn := r.ind[k]
-				var r2, c2 uint64
-				if r.orient == Row {
-					r2, c2 = mj, mn
-				} else {
-					r2, c2 = mn, mj
+		r.Each(yield)
+	}
+}
+
+// ScanRegion implements core.RegionScanner: it visits the same points,
+// slots and order as Each filtered by region.Contains, but seeks to
+// them through the pointer vector instead of decoding every point.
+//
+// GCSR++ stores points in row-major linear-address order, so each
+// row-major run of the region (one stretch along the last dimension)
+// is a binary search in its compressed-axis slice followed by a forward
+// walk, which may cross into later slices. GCSC++ slices are sorted by
+// row, so every slice is searched for the band of rows the region's
+// linear addresses span and the band is filtered by containment. When
+// the seeks would outnumber the stored points — more runs than points
+// for GCSR++, more slices than points for GCSC++ — the filtered walk
+// is cheaper and is used instead.
+func (r *reader) ScanRegion(region tensor.Region, visit func(p []uint64, slot int) bool) {
+	shape := r.lin.Shape()
+	d := shape.Dims()
+	n := uint64(len(r.ind))
+	if n == 0 || region.Dims() != d {
+		return
+	}
+	// One scratch buffer: the visited point, a run cursor, and the
+	// region's bounds clipped to the shape (hi exclusive).
+	buf := make([]uint64, 4*d)
+	p, at, lo, hi := buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:]
+	seeks := uint64(1) // runs for GCSR++; clipped extents multiply to at most the volume
+	for i := range lo {
+		// A start+size that wraps past 2^64 contains nothing, as it
+		// does for Contains, and clips to an empty range here too.
+		lo[i], hi[i] = region.Start[i], min(region.Start[i]+region.Size[i], shape[i])
+		if lo[i] >= hi[i] {
+			return
+		}
+		if i < d-1 {
+			seeks *= hi[i] - lo[i]
+		}
+	}
+	if r.orient == Col {
+		seeks = uint64(len(r.ptr)) - 1
+	}
+	switch {
+	case seeks > n:
+		r.each(p, func(p []uint64, slot int) bool {
+			return !region.Contains(p) || visit(p, slot)
+		})
+	case r.orient == Row:
+		r.scanRuns(p, at, lo, hi, visit)
+	default:
+		r.scanBand(region, p, at, lo, hi, visit)
+	}
+}
+
+// RegionPoints implements core.RegionStreamer: the seeking walk of
+// ScanRegion as a lazy sequence.
+func (r *reader) RegionPoints(region tensor.Region) core.PointSeq {
+	return func(yield func(p []uint64, slot int) bool) {
+		r.ScanRegion(region, yield)
+	}
+}
+
+// scanRuns is ScanRegion for GCSR++. The cursor at walks the region's
+// runs in row-major order; each run covers the linear addresses
+// [a, a+width) and ends its walk at the first stored point past it.
+func (r *reader) scanRuns(p, at, lo, hi []uint64, visit func(p []uint64, slot int) bool) {
+	last := len(at) - 1
+	width := hi[last] - lo[last]
+	n := uint64(len(r.ind))
+	copy(at, lo)
+	for {
+		a := r.lin.Linearize(at)
+		mj := a / r.cols
+		for k := r.seek(mj, a%r.cols); k < n; k++ {
+			if k >= r.ptr[mj+1] {
+				if (mj+1)*r.cols >= a+width {
+					break // later slices start past the run
 				}
-				r.lin.Delinearize(r2*r.cols+c2, p)
-				if !yield(p, int(k)) {
-					return
-				}
+				mj = r.sliceOf(k)
+			}
+			l := mj*r.cols + r.ind[k]
+			if l >= a+width {
+				break
+			}
+			copy(p, at)
+			p[last] += l - a
+			if !visit(p, int(k)) {
+				return
+			}
+		}
+		i := last - 1
+		for ; i >= 0; i-- {
+			at[i]++
+			if at[i] < hi[i] {
+				break
+			}
+			at[i] = lo[i]
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// scanBand is ScanRegion for GCSC++. Every point of the region has a
+// linear address between those of its corners lo and hi-1, so its row,
+// the minor coordinate, lies in that band; each slice seeks the band's
+// first row and filters the band by containment.
+func (r *reader) scanBand(region tensor.Region, p, at, lo, hi []uint64, visit func(p []uint64, slot int) bool) {
+	first := r.lin.Linearize(lo) / r.cols
+	for i := range at {
+		at[i] = hi[i] - 1
+	}
+	lastRow := r.lin.Linearize(at) / r.cols
+	for mj := uint64(0); mj+1 < uint64(len(r.ptr)); mj++ {
+		end := r.ptr[mj+1]
+		for k := r.seek(mj, first); k < end && r.ind[k] <= lastRow; k++ {
+			r.lin.Delinearize(r.ind[k]*r.cols+mj, p)
+			if region.Contains(p) && !visit(p, int(k)) {
+				return
 			}
 		}
 	}
+}
+
+// seek returns the first position in slice mj whose minor coordinate
+// is at least mn, or the slice's end when there is none.
+func (r *reader) seek(mj, mn uint64) uint64 {
+	i, _ := slices.BinarySearch(r.ind[r.ptr[mj]:r.ptr[mj+1]], mn)
+	return r.ptr[mj] + uint64(i)
+}
+
+// sliceOf returns the compressed-axis index whose slice holds position
+// k, which must be below NNZ: the first mj whose slice ends past k.
+func (r *reader) sliceOf(k uint64) uint64 {
+	i, _ := slices.BinarySearch(r.ptr[1:], k+1)
+	return uint64(i)
 }
 
 // Geometry exposes the 2D remap for inspection tools and tests.
@@ -329,9 +463,11 @@ func (r *reader) Ptr() []uint64 { return r.ptr }
 func (r *reader) Ind() []uint64 { return r.ind }
 
 var (
-	_ core.Format       = Format{}
-	_ core.Reader       = (*reader)(nil)
-	_ core.PayloadSizer = (*reader)(nil)
-	_ core.Iterator     = (*reader)(nil)
-	_ core.Streamer     = (*reader)(nil)
+	_ core.Format         = Format{}
+	_ core.Reader         = (*reader)(nil)
+	_ core.PayloadSizer   = (*reader)(nil)
+	_ core.Iterator       = (*reader)(nil)
+	_ core.Streamer       = (*reader)(nil)
+	_ core.RegionScanner  = (*reader)(nil)
+	_ core.RegionStreamer = (*reader)(nil)
 )

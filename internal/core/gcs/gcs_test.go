@@ -1,6 +1,8 @@
 package gcs
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"sparseart/internal/core"
@@ -211,6 +213,156 @@ func TestAnisotropicMinExtentNotFirst(t *testing.T) {
 			if _, ok := r.Lookup(c.At(i)); !ok {
 				t.Fatalf("orient %d: point %v lost", f.Orient, c.At(i))
 			}
+		}
+	}
+}
+
+// TestScanRegionMatchesFilteredEach pins the seeking region walk to
+// its definition: ScanRegion and RegionPoints visit exactly the points,
+// slots and order of Each filtered by Contains. Shapes have 1-4 dims
+// with the smallest extent anywhere; points repeat, so slices hold
+// duplicates; regions range from single cells to ones that overhang
+// the shape, and sparse datasets give regions with more seeks than
+// points, which take the filtered fallback.
+func TestScanRegionMatchesFilteredEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	paths := map[string]int{}
+	for round := 0; round < 300; round++ {
+		d := 1 + round%4
+		shape := make(tensor.Shape, d)
+		for i := range shape {
+			shape[i] = uint64(2 + rng.Intn(9))
+		}
+		// Put the smallest extent in a random dimension.
+		shape[rng.Intn(d)] = 1 + uint64(rng.Intn(3))
+		vol, _ := shape.Volume()
+		n := rng.Intn(int(vol)/2 + 2)
+		c := tensor.NewCoords(d, n)
+		p := make([]uint64, d)
+		for i := 0; i < n; i++ {
+			for j := range p {
+				p[j] = uint64(rng.Int63n(int64(shape[j])))
+			}
+			c.Append(p...)
+			if rng.Intn(8) == 0 { // a duplicate point
+				c.Append(p...)
+			}
+		}
+		for _, f := range []Format{NewRow(), NewCol()} {
+			built, err := f.Build(c, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := f.Open(built.Payload, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := r.(*reader)
+			for q := 0; q < 4; q++ {
+				region := tensor.Region{Start: make([]uint64, d), Size: make([]uint64, d)}
+				for i := range shape {
+					region.Start[i] = uint64(rng.Int63n(int64(shape[i])))
+					region.Size[i] = 1 + uint64(rng.Int63n(int64(shape[i]-region.Start[i])))
+					if q == 3 {
+						region.Size[i] += uint64(rng.Intn(3)) // overhang the shape
+					}
+				}
+				label := fmt.Sprintf("orient %d shape %v region %v", f.Orient, shape, region)
+				paths[seekPath(rd, region)]++
+				var want []string
+				rd.Each(func(p []uint64, slot int) bool {
+					if region.Contains(p) {
+						want = append(want, fmt.Sprint(p, slot))
+					}
+					return true
+				})
+				var got []string
+				rd.ScanRegion(region, func(p []uint64, slot int) bool {
+					got = append(got, fmt.Sprint(p, slot))
+					return true
+				})
+				sameSteps(t, label+" ScanRegion", got, want)
+				got = got[:0]
+				for p, slot := range rd.RegionPoints(region) {
+					got = append(got, fmt.Sprint(p, slot))
+				}
+				sameSteps(t, label+" RegionPoints", got, want)
+				if len(want) > 1 {
+					stop := 1 + rng.Intn(len(want)-1)
+					got = got[:0]
+					rd.ScanRegion(region, func(p []uint64, slot int) bool {
+						got = append(got, fmt.Sprint(p, slot))
+						return len(got) < stop
+					})
+					sameSteps(t, label+" ScanRegion(early stop)", got, want[:stop])
+				}
+			}
+		}
+	}
+	for _, path := range []string{"runs", "band", "fallback"} {
+		if paths[path] == 0 {
+			t.Errorf("no region took the %s path (%v)", path, paths)
+		}
+	}
+}
+
+// seekPath names the walk ScanRegion takes for an in-shape-rank region.
+func seekPath(r *reader, region tensor.Region) string {
+	seeks := uint64(len(r.ptr)) - 1
+	if r.orient == Row {
+		seeks = 1
+		for i := 0; i < region.Dims()-1; i++ {
+			seeks *= min(region.Start[i]+region.Size[i], r.lin.Shape()[i]) - region.Start[i]
+		}
+	}
+	switch {
+	case seeks > uint64(r.NNZ()):
+		return "fallback"
+	case r.orient == Row:
+		return "runs"
+	}
+	return "band"
+}
+
+func sameSteps(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s:\n got %v\nwant %v", label, got, want)
+	}
+}
+
+// TestScanRegionEdgeRegions covers regions the store never sends but a
+// reader must still answer like Each + Contains: a rank mismatch, a
+// start past the shape and a size that wraps past 2^64.
+func TestScanRegionEdgeRegions(t *testing.T) {
+	shape, c := coretest.PaperExample()
+	for _, f := range []Format{NewRow(), NewCol()} {
+		built, err := f.Build(c, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := f.Open(built.Payload, shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := r.(*reader)
+		for _, region := range []tensor.Region{
+			{Start: []uint64{0, 0}, Size: []uint64{3, 3}},
+			{Start: []uint64{0, 5, 0}, Size: []uint64{3, 1, 3}},
+			{Start: []uint64{0, 1, 1}, Size: []uint64{3, ^uint64(0), 2}},
+		} {
+			var want, got []string
+			rd.Each(func(p []uint64, slot int) bool {
+				if region.Contains(p) {
+					want = append(want, fmt.Sprint(p, slot))
+				}
+				return true
+			})
+			rd.ScanRegion(region, func(p []uint64, slot int) bool {
+				got = append(got, fmt.Sprint(p, slot))
+				return true
+			})
+			sameSteps(t, fmt.Sprintf("orient %d region %v", f.Orient, region), got, want)
 		}
 	}
 }

@@ -22,9 +22,9 @@ func TestSerialReadAllocBudget(t *testing.T) {
 	}
 	type budget struct{ probe, scan, auto, points, sumRegion float64 }
 	budgets := map[core.Kind]budget{
-		core.GCSR: {probe: 75, scan: 100, auto: 100, points: 64, sumRegion: 370},
-		core.CSF:  {probe: 75, scan: 92, auto: 92, points: 64, sumRegion: 303},
-		core.COO:  {probe: 75, scan: 92, auto: 92, points: 64, sumRegion: 351},
+		core.GCSR: {probe: 75, scan: 91, auto: 91, points: 64, sumRegion: 273},
+		core.CSF:  {probe: 75, scan: 92, auto: 92, points: 64, sumRegion: 270},
+		core.COO:  {probe: 75, scan: 92, auto: 92, points: 64, sumRegion: 318},
 	}
 	shape := tensor.Shape{64, 64}
 	for _, kind := range []core.Kind{core.GCSR, core.CSF, core.COO} {

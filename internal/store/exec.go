@@ -337,19 +337,21 @@ func addReadReport(dst, src *ReadReport) {
 }
 
 // pushSink folds the live cells of each visited fragment into its
-// worker's accumulator.
+// worker's accumulator. Each worker also owns the last-write-wins map
+// liveFragment fills per fragment.
 type pushSink[A any] struct {
-	s      *Store
-	v      *readView
-	region *tensor.Region
-	visit  func(acc A, p []uint64, val float64) bool
-	accs   []A
-	stats  []PushReport
+	s       *Store
+	v       *readView
+	region  *tensor.Region
+	visit   func(acc A, p []uint64, val float64) bool
+	accs    []A
+	stats   []PushReport
+	winners []map[uint64]int
 }
 
 func (k *pushSink[A]) fragment(w, fi int) error {
 	acc := k.accs[w]
-	return k.s.liveFragment(k.v, fi, k.region, func(p []uint64, val float64) bool {
+	return k.s.liveFragment(k.v, fi, k.region, &k.winners[w], func(p []uint64, val float64) bool {
 		return k.visit(acc, p, val)
 	}, &k.stats[w])
 }
@@ -366,7 +368,8 @@ func runPush[A any](ctx context.Context, s *Store, region *tensor.Region, worker
 	defer v.release()
 	p := v.plan(nil, region, len(v.frags))
 	n := workerBudget(workers, len(p.data))
-	k := &pushSink[A]{s: s, v: v, region: region, visit: visit, accs: make([]A, n), stats: make([]PushReport, n)}
+	k := &pushSink[A]{s: s, v: v, region: region, visit: visit,
+		accs: make([]A, n), stats: make([]PushReport, n), winners: make([]map[uint64]int, n)}
 	for i := range k.accs {
 		k.accs[i] = newAcc()
 	}
@@ -388,8 +391,10 @@ func addPushReport(dst, src *PushReport) {
 }
 
 // scanFragment visits one fragment's stored points inside region, or
-// all of them when region is nil. CSF prunes the walk through its tree
-// (core.RegionScanner); the other organizations filter a full walk.
+// all of them when region is nil. Organizations with a
+// core.RegionScanner prune the walk (CSF through its tree, GCSR++ and
+// GCSC++ by seeking within their slices); the others filter a full
+// walk.
 func scanFragment(kind core.Kind, reader core.Reader, region *tensor.Region,
 	visit func(p []uint64, slot int) bool) error {
 	if rs, ok := reader.(core.RegionScanner); ok && region != nil {

@@ -76,11 +76,16 @@ func shadowSet(v *readView, fi int) (datas []int, tombs []tombstoneRef) {
 }
 
 // liveFragment streams the live cells of data fragment fi in payload
-// order. region, when non-nil, restricts the walk (CSF prunes whole
-// subtrees; other formats filter). Shadow fragments are fetched lazily
-// — a fragment whose bbox overlaps but whose points never collide costs
+// order. region, when non-nil, restricts the walk: CSF descends only
+// intersecting subtrees, GCSR++/GCSC++ seek to the region through
+// their pointer vectors, and the other formats filter a full walk.
+// *winner is the caller's last-write-wins scratch map: made here for
+// the caller's first fragment, sized by it, then cleared and reused, so
+// it holds only the walked cells. Shadow fragments are fetched lazily —
+// a fragment whose bbox overlaps but whose points never collide costs
 // at most filter probes. Returns errStopPush when visit stops the walk.
-func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit func(p []uint64, val float64) bool, st *PushReport) error {
+func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, winner *map[uint64]int,
+	visit func(p []uint64, val float64) bool, st *PushReport) error {
 	fr := v.frags[fi]
 	e, err := s.fetchFragment(nil, fr, &ReadReport{})
 	if err != nil {
@@ -96,9 +101,13 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 	// final payload-order occurrence of a duplicated point; Lookup can
 	// return an earlier slot, so the winner map — not Lookup — is what
 	// keeps push-down and export byte-agreeing on degenerate inputs.
-	winner := make(map[uint64]int, e.Reader.NNZ())
+	if *winner == nil {
+		*winner = make(map[uint64]int, e.Reader.NNZ())
+	}
+	win := *winner
+	clear(win)
 	for p, slot := range seq {
-		winner[s.lin.Linearize(p)] = slot
+		win[s.lin.Linearize(p)] = slot
 	}
 
 	shadowDatas, shadowTombs := shadowSet(v, fi)
@@ -106,7 +115,7 @@ func (s *Store) liveFragment(v *readView, fi int, region *tensor.Region, visit f
 
 	seq2, _ := streamReader(e.Reader, region)
 	for p, slot := range seq2 {
-		if winner[s.lin.Linearize(p)] != slot {
+		if win[s.lin.Linearize(p)] != slot {
 			st.Shadowed++
 			continue
 		}
@@ -344,8 +353,9 @@ func (s *Store) sum(ctx context.Context, op string, region *tensor.Region, worke
 
 // SumRegion reduces a rectangular region to the sum of its live values,
 // exploiting the region-restricted walk: CSF fragments descend only
-// intersecting subtrees, and non-overlapping fragments are skipped by
-// the spatial index and coordinate filters before any fetch.
+// intersecting subtrees, GCSR++/GCSC++ fragments seek within their
+// slices, and non-overlapping fragments are skipped by the spatial
+// index and coordinate filters before any fetch.
 func (s *Store) SumRegion(region tensor.Region, workers int) (float64, *PushReport, error) {
 	return s.SumRegionContext(context.Background(), region, workers)
 }

@@ -186,9 +186,9 @@ func (s *Store) ReadRegion(region tensor.Region) (*Result, *ReadReport, error) {
 // each overlapping fragment enumerates its stored points and filters by
 // containment — O(n) per fragment regardless of region volume. This is
 // the trade-off flip side of §II-A: scans favor large windows, probes
-// favor small ones. CSF prunes the walk through its tree
-// (core.RegionScanner); the other organizations fall back to a full
-// iteration.
+// favor small ones. CSF prunes the walk through its tree and GCSR++/
+// GCSC++ seek within their slices (core.RegionScanner); the other
+// organizations fall back to a full iteration.
 //
 // Deprecated: ReadRegionScan is a thin wrapper; use Query with
 // StrategyScan.
