@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strings"
 	"sync"
 
 	"sparseart/internal/core"
@@ -16,10 +13,6 @@ import (
 	"sparseart/internal/wire"
 )
 
-// virtualNodes is how many ring positions each shard claims; more
-// positions smooth the key distribution.
-const virtualNodes = 64
-
 // Router-level span names: one per routed request kind, wrapping the
 // whole scatter-gather so a stitched trace shows fan-out under them.
 const (
@@ -27,32 +20,26 @@ const (
 	obsRouterKernel = "router.kernel"
 )
 
-// Router consistent-hashes tile coordinates across shard servers and
+// Router consistent-hashes tile keys across shard servers and
 // presents the same Backend surface a single store does: scatter-
 // gather region reads merge in linear-address order (byte-identical to
 // one local Chunked store over the same writes), WriteBatch fans out
 // per shard over the streaming ingest API, and telemetry scrapes
 // absorb every shard's counters. Each shard must host a Chunked store
 // with the same global shape, tile extents, and kind — the router
-// checks at construction.
+// checks at construction. Tile geometry (index, key, region walk) is
+// the shards' own store.Grid, and merging is store.MergeRuns.
 type Router struct {
-	shape tensor.Shape
-	tile  tensor.Shape
-	kind  uint8    // core.Kind of every shard
-	grid  []uint64 // tiles per dimension (ceil(shape/tile))
+	grid *store.Grid
+	kind uint8 // core.Kind of every shard
 
 	addrs   []string
 	clients []*Client
-	ring    []ringSlot
+	ring    hashRing
 	reg     *obs.Registry
 
 	obsMu sync.Mutex
 	prev  []*obs.Snapshot // last absorbed snapshot per shard
-}
-
-type ringSlot struct {
-	hash  uint64
-	shard int
 }
 
 // NewRouter dials every shard, verifies they agree on shape, tile, and
@@ -84,29 +71,17 @@ func NewRouter(addrs []string, reg *obs.Registry) (*Router, error) {
 			return nil, fmt.Errorf("serve: %w: shard %d (%s) hosts an untiled store", store.ErrBadRequest, i, addr)
 		}
 		if i == 0 {
-			r.shape, r.tile, r.kind = info.Shape, info.Tile, uint8(info.Kind)
-		} else if !r.shape.Equal(info.Shape) || !r.tile.Equal(info.Tile) || r.kind != uint8(info.Kind) {
+			if r.grid, err = store.NewGrid(info.Shape, info.Tile); err != nil {
+				r.closeClients()
+				return nil, fmt.Errorf("serve: %w: shard %d (%s): %v", store.ErrBadRequest, i, addr, err)
+			}
+			r.kind = uint8(info.Kind)
+		} else if !r.grid.Shape().Equal(info.Shape) || !r.grid.Tile().Equal(info.Tile) || r.kind != uint8(info.Kind) {
 			r.closeClients()
 			return nil, fmt.Errorf("serve: %w: shard %d (%s) disagrees on shape/tile/kind", store.ErrBadRequest, i, addr)
 		}
 	}
-	r.grid = make([]uint64, r.shape.Dims())
-	for d := range r.grid {
-		r.grid[d] = (r.shape[d] + r.tile[d] - 1) / r.tile[d]
-	}
-	for i, addr := range addrs {
-		for v := 0; v < virtualNodes; v++ {
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%s#%d", addr, v)
-			r.ring = append(r.ring, ringSlot{hash: h.Sum64(), shard: i})
-		}
-	}
-	sort.Slice(r.ring, func(i, j int) bool {
-		if r.ring[i].hash != r.ring[j].hash {
-			return r.ring[i].hash < r.ring[j].hash
-		}
-		return r.ring[i].shard < r.ring[j].shard
-	})
+	r.ring = newRing(addrs)
 	r.reg.Gauge("router.shards").Set(int64(len(addrs)))
 	return r, nil
 }
@@ -132,28 +107,8 @@ func (r *Router) kindName() string { return core.Kind(r.kind).String() }
 // owner maps a tile index to its shard by consistent hashing the tile
 // key ("t-0-1"), the same string that names the tile directory.
 func (r *Router) owner(idx []uint64) int {
-	var b strings.Builder
-	b.WriteString("t")
-	for _, v := range idx {
-		fmt.Fprintf(&b, "-%d", v)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	key := h.Sum64()
-	i := sort.Search(len(r.ring), func(i int) bool { return r.ring[i].hash >= key })
-	if i == len(r.ring) {
-		i = 0
-	}
-	return r.ring[i].shard
-}
-
-// tileOf returns the per-dimension tile index of a global point.
-func (r *Router) tileOf(p []uint64) []uint64 {
-	idx := make([]uint64, len(p))
-	for d := range p {
-		idx[d] = p[d] / r.tile[d]
-	}
-	return idx
+	var buf [64]byte
+	return r.ring.owner(r.grid.AppendKey(buf[:0], idx))
 }
 
 // shardErr classifies a shard call failure: typed protocol errors and
@@ -170,47 +125,36 @@ func shardErr(i int, addr string, err error) error {
 	return fmt.Errorf("serve: %w: shard %d (%s): %v", wire.ErrShardUnavailable, i, addr, err)
 }
 
-// regionShards returns the shards owning at least one tile overlapping
-// region, by walking the overlapped tile grid.
+// regionShards returns, in ascending order, the shards owning at least
+// one tile the region overlaps. The region must lie inside the shape.
 func (r *Router) regionShards(region tensor.Region) []int {
-	lo := make([]uint64, len(r.tile))
-	hi := make([]uint64, len(r.tile))
-	for d := range r.tile {
-		lo[d] = region.Start[d] / r.tile[d]
-		end := region.Start[d] + region.Size[d] - 1
-		if region.Size[d] == 0 || end < region.Start[d] {
-			end = region.Start[d] // empty or overflowing extent: clamp
+	owns := make([]bool, len(r.clients))
+	n := 0
+	r.grid.Walk(region, nil, func(_ int, idx []uint64) bool {
+		if s := r.owner(idx); !owns[s] {
+			owns[s] = true
+			n++
 		}
-		hi[d] = end / r.tile[d]
-		if r.grid[d] > 0 && hi[d] >= r.grid[d] {
-			hi[d] = r.grid[d] - 1
-		}
-	}
-	seen := map[int]bool{}
-	idx := append([]uint64(nil), lo...)
-	for {
-		seen[r.owner(idx)] = true
-		if len(seen) == len(r.clients) {
-			break // every shard already in play
-		}
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= hi[d] {
-				break
-			}
-			idx[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			break
+		return n < len(owns) // stop once every shard is in play
+	})
+	shards := make([]int, 0, n)
+	for i, ok := range owns {
+		if ok {
+			shards = append(shards, i)
 		}
 	}
-	shards := make([]int, 0, len(seen))
-	for i := range seen {
-		shards = append(shards, i)
+	return shards
+}
+
+// present lists, in ascending order, the shards a per-shard partition
+// gave work to.
+func present[T any](parts []*T) []int {
+	var shards []int
+	for i, part := range parts {
+		if part != nil {
+			shards = append(shards, i)
+		}
 	}
-	sort.Ints(shards)
 	return shards
 }
 
@@ -280,7 +224,7 @@ func (r *Router) Info(ctx context.Context) (*wire.Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &wire.Info{Kind: infos[0].Kind, Shape: r.shape, Tile: r.tile}
+	out := &wire.Info{Kind: infos[0].Kind, Shape: r.grid.Shape(), Tile: r.grid.Tile()}
 	for _, info := range infos {
 		out.Fragments += info.Fragments
 		out.Epoch += info.Epoch
@@ -293,7 +237,9 @@ func (r *Router) Info(ctx context.Context) (*wire.Info, error) {
 // owning tile; region targets broadcast the whole region to every
 // shard owning an overlapping tile — each shard answers from the tiles
 // it materialized, which are disjoint, so the merged result is exactly
-// what one local Chunked store would return.
+// what one local Chunked store would return. Requests are checked with
+// store.QueryRequest.Validate, so a region outside the shape is
+// ErrBadRequest here as on every store.
 func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
 	sp, ctx := r.reg.StartCtx(ctx, obsRouterQuery)
 	if sp.Sampled() {
@@ -306,58 +252,39 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (*store.Resu
 
 // queryAt dispatches the routed read under the router.query span.
 func (r *Router) queryAt(ctx context.Context, req store.QueryRequest) (*store.Result, *store.ReadReport, error) {
+	if err := req.Validate(r.grid.Shape()); err != nil {
+		return nil, nil, err
+	}
 	if req.AsOf != store.AsOfLatest {
-		if req.Probe == nil && req.Region == nil {
-			return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-		}
 		return nil, nil, fmt.Errorf("serve: %w: as-of reads are not supported on routed stores", store.ErrBadRequest)
 	}
-	if req.Region != nil {
-		if req.Probe != nil {
-			return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-		}
-		if req.Region.Dims() != r.shape.Dims() {
-			return nil, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.shape.Dims())
-		}
-		shards := r.regionShards(*req.Region)
-		results := make([]*store.Result, len(r.clients))
-		reports := make([]*store.ReadReport, len(r.clients))
-		err := r.scatter(ctx, shards, "query", func(ctx context.Context, i int) error {
-			res, rep, err := r.clients[i].Query(ctx, req)
-			results[i], reports[i] = res, rep
-			return err
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return mergeResults(r.shape.Dims(), len(shards), results, reports)
-	}
-	if req.Probe == nil {
-		return nil, nil, fmt.Errorf("store: %w: exactly one of Probe or Region must be set", store.ErrBadRequest)
-	}
-	if req.Probe.Dims() != r.shape.Dims() {
-		return nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, req.Probe.Dims(), r.shape.Dims())
-	}
-	parts := r.partitionPoints(req.Probe, nil)
-	results := make([]*store.Result, len(r.clients))
-	reports := make([]*store.ReadReport, len(r.clients))
+	var parts []*pointPart
 	var shards []int
-	for i, part := range parts {
-		if part != nil {
-			shards = append(shards, i)
-		}
+	if req.Region != nil {
+		shards = r.regionShards(*req.Region)
+	} else {
+		parts = r.partitionPoints(req.Probe, nil)
+		shards = present(parts)
 	}
+	runs := make([]store.Run, len(r.clients))
+	reports := make([]*store.ReadReport, len(r.clients))
 	err := r.scatter(ctx, shards, "query", func(ctx context.Context, i int) error {
 		sub := req
-		sub.Probe = parts[i].coords
+		if parts != nil {
+			sub.Probe = parts[i].coords
+		}
 		res, rep, err := r.clients[i].Query(ctx, sub)
-		results[i], reports[i] = res, rep
+		runs[i].Result, reports[i] = res, rep
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeResults(r.shape.Dims(), len(shards), results, reports)
+	rep := &store.ReadReport{Shards: len(shards)}
+	for _, sub := range reports {
+		rep.Add(sub)
+	}
+	return store.MergeRuns(r.grid.Shape().Dims(), runs), rep, nil
 }
 
 // pointPart is one shard's slice of a partitioned point set.
@@ -371,9 +298,11 @@ type pointPart struct {
 // owning shard; nil entries mean the shard got no points.
 func (r *Router) partitionPoints(coords *tensor.Coords, values []float64) []*pointPart {
 	parts := make([]*pointPart, len(r.clients))
+	idx := make([]uint64, coords.Dims())
 	for i := 0; i < coords.Len(); i++ {
 		p := coords.At(i)
-		s := r.owner(r.tileOf(p))
+		r.grid.TileOf(idx, p)
+		s := r.owner(idx)
 		part := parts[s]
 		if part == nil {
 			part = &pointPart{coords: tensor.NewCoords(coords.Dims(), 0)}
@@ -388,81 +317,14 @@ func (r *Router) partitionPoints(coords *tensor.Coords, values []float64) []*poi
 	return parts
 }
 
-// mergeResults concatenates per-shard sorted results and re-sorts by
-// coordinate tuple (row-major linear order) — tiles are disjoint
-// across shards, so no deduplication is needed and the order matches a
-// single local Chunked read exactly.
-func mergeResults(dims, shards int, results []*store.Result, reports []*store.ReadReport) (*store.Result, *store.ReadReport, error) {
-	total := 0
-	for _, res := range results {
-		if res != nil {
-			total += res.Coords.Len()
-		}
-	}
-	coords := tensor.NewCoords(dims, total)
-	values := make([]float64, 0, total)
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		coords.AppendFlat(res.Coords.Flat())
-		values = append(values, res.Values...)
-	}
-	order := make([]int, coords.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := coords.At(order[a]), coords.At(order[b])
-		for d := range pa {
-			if pa[d] != pb[d] {
-				return pa[d] < pb[d]
-			}
-		}
-		return false
-	})
-	out := tensor.NewCoords(dims, coords.Len())
-	vals := make([]float64, 0, coords.Len())
-	for _, i := range order {
-		out.Append(coords.At(i)...)
-		vals = append(vals, values[i])
-	}
-	rep := &store.ReadReport{Shards: shards}
-	for _, sub := range reports {
-		if sub == nil {
-			continue
-		}
-		rep.IO += sub.IO
-		rep.Extract += sub.Extract
-		rep.Probe += sub.Probe
-		rep.Merge += sub.Merge
-		rep.Fragments += sub.Fragments
-		rep.Probed += sub.Probed
-		rep.Found += sub.Found
-		rep.Scans += sub.Scans
-		rep.Candidates += sub.Candidates
-		rep.FilterSkipped += sub.FilterSkipped
-		rep.CacheHits += sub.CacheHits
-		rep.CacheMisses += sub.CacheMisses
-		rep.BytesRead += sub.BytesRead
-		rep.Epoch += sub.Epoch
-	}
-	return &store.Result{Coords: out, Values: vals}, rep, nil
-}
-
 // ReadPoints partitions the probe per shard and reassembles the
 // aligned values and found marks in the original order.
 func (r *Router) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float64, []bool, *store.ReadReport, error) {
-	if probe.Dims() != r.shape.Dims() {
-		return nil, nil, nil, fmt.Errorf("store: %w: %d-dim probe for %d-dim store", store.ErrShapeMismatch, probe.Dims(), r.shape.Dims())
+	if err := (&store.QueryRequest{Probe: probe, AsOf: store.AsOfLatest}).Validate(r.grid.Shape()); err != nil {
+		return nil, nil, nil, err
 	}
 	parts := r.partitionPoints(probe, nil)
-	var shards []int
-	for i, part := range parts {
-		if part != nil {
-			shards = append(shards, i)
-		}
-	}
+	shards := present(parts)
 	vals := make([]float64, probe.Len())
 	found := make([]bool, probe.Len())
 	reports := make([]*store.ReadReport, len(r.clients))
@@ -486,23 +348,7 @@ func (r *Router) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float6
 	}
 	rep := &store.ReadReport{Shards: len(shards)}
 	for _, sub := range reports {
-		if sub == nil {
-			continue
-		}
-		rep.Fragments += sub.Fragments
-		rep.Probed += sub.Probed
-		rep.Found += sub.Found
-		rep.Scans += sub.Scans
-		rep.IO += sub.IO
-		rep.Extract += sub.Extract
-		rep.Probe += sub.Probe
-		rep.Merge += sub.Merge
-		rep.Candidates += sub.Candidates
-		rep.FilterSkipped += sub.FilterSkipped
-		rep.CacheHits += sub.CacheHits
-		rep.CacheMisses += sub.CacheMisses
-		rep.BytesRead += sub.BytesRead
-		rep.Epoch += sub.Epoch
+		rep.Add(sub)
 	}
 	return vals, found, rep, nil
 }
@@ -510,22 +356,18 @@ func (r *Router) ReadPoints(ctx context.Context, probe *tensor.Coords) ([]float6
 // Write partitions one fragment's points per owning shard and commits
 // each slice on its shard.
 func (r *Router) Write(ctx context.Context, coords *tensor.Coords, values []float64) (*store.WriteReport, error) {
-	if coords.Dims() != r.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", store.ErrShapeMismatch, coords.Dims(), r.shape.Dims())
+	shape := r.grid.Shape()
+	if coords.Dims() != shape.Dims() {
+		return nil, fmt.Errorf("store: %w: %d-dim coords for %d-dim store", store.ErrShapeMismatch, coords.Dims(), shape.Dims())
 	}
 	if coords.Len() != len(values) {
 		return nil, fmt.Errorf("store: %w: %d coords, %d values", store.ErrShapeMismatch, coords.Len(), len(values))
 	}
-	if !coords.InShape(r.shape) {
-		return nil, fmt.Errorf("store: %w: coordinate outside shape %v", store.ErrShapeMismatch, r.shape)
+	if !coords.InShape(shape) {
+		return nil, fmt.Errorf("store: %w: coordinate outside shape %v", store.ErrShapeMismatch, shape)
 	}
 	parts := r.partitionPoints(coords, values)
-	var shards []int
-	for i, part := range parts {
-		if part != nil {
-			shards = append(shards, i)
-		}
-	}
+	shards := present(parts)
 	reps := make([]*store.WriteReport, len(r.clients))
 	err := r.scatter(ctx, shards, "write", func(ctx context.Context, i int) error {
 		rep, err := r.clients[i].Write(ctx, parts[i].coords, parts[i].values)
@@ -535,26 +377,14 @@ func (r *Router) Write(ctx context.Context, coords *tensor.Coords, values []floa
 	if err != nil {
 		return nil, err
 	}
-	return mergeWriteReports(reps), nil
+	return sumWriteReports(reps), nil
 }
 
-// mergeWriteReports sums per-shard write reports into one.
-func mergeWriteReports(reps []*store.WriteReport) *store.WriteReport {
+// sumWriteReports sums per-shard write reports into one.
+func sumWriteReports(reps []*store.WriteReport) *store.WriteReport {
 	out := &store.WriteReport{}
 	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		out.Build += rep.Build
-		out.Reorg += rep.Reorg
-		out.Write += rep.Write
-		out.Others += rep.Others
-		out.Bytes += rep.Bytes
-		out.NNZ += rep.NNZ
-		out.Epoch += rep.Epoch
-		if out.Name == "" {
-			out.Name = rep.Name
-		}
+		out.Add(rep)
 	}
 	return out
 }
@@ -570,7 +400,7 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 	}
 	perShard := make([]*shardBatch, len(r.clients))
 	for bi, b := range batches {
-		if b.Coords == nil || b.Coords.Dims() != r.shape.Dims() {
+		if b.Coords == nil || b.Coords.Dims() != r.grid.Shape().Dims() {
 			return nil, fmt.Errorf("store: %w: batch %d dims", store.ErrShapeMismatch, bi)
 		}
 		parts := r.partitionPoints(b.Coords, b.Values)
@@ -587,44 +417,39 @@ func (r *Router) WriteBatch(ctx context.Context, batches []store.Batch, workers 
 			sb.batches = append(sb.batches, store.Batch{Coords: part.coords, Values: part.values})
 		}
 	}
-	var shards []int
-	for i, sb := range perShard {
-		if sb != nil {
-			shards = append(shards, i)
-		}
-	}
-	merged := make([][]*store.WriteReport, len(batches))
-	var mu sync.Mutex
+	shards := present(perShard)
+	shardReps := make([][]*store.WriteReport, len(r.clients))
 	err := r.scatter(ctx, shards, "write_batch", func(ctx context.Context, i int) error {
 		reps, err := r.clients[i].WriteBatch(ctx, perShard[i].batches, workers)
-		mu.Lock()
-		for k, rep := range reps {
-			if k < len(perShard[i].src) {
-				src := perShard[i].src[k]
-				merged[src] = append(merged[src], rep)
-			}
-		}
-		mu.Unlock()
+		shardReps[i] = reps
 		return err
 	})
-	out := make([]*store.WriteReport, 0, len(batches))
-	for _, reps := range merged {
-		if len(reps) == 0 {
-			break // committed prefix only, matching local semantics
+	// Sum each batch's pieces in shard order. A piece names its tile
+	// fragment and epoch; the sum keeps the first piece's.
+	out := make([]*store.WriteReport, len(batches))
+	for _, i := range shards {
+		reps := shardReps[i]
+		for k, rep := range reps[:min(len(reps), len(perShard[i].src))] {
+			src := perShard[i].src[k]
+			if out[src] == nil {
+				out[src] = &store.WriteReport{Name: rep.Name, Epoch: rep.Epoch}
+			}
+			out[src].Add(rep)
 		}
-		out = append(out, mergeWriteReports(reps))
 	}
-	if err != nil {
-		return out, err
+	n := 0
+	for n < len(out) && out[n] != nil {
+		n++ // committed prefix only, matching local semantics
 	}
-	return out, nil
+	return out[:n], err
 }
 
 // DeleteRegion broadcasts the tombstone to every shard owning an
-// overlapping tile.
+// overlapping tile. The region must lie inside the shape
+// (store.ValidateRegion).
 func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store.WriteReport, error) {
-	if region.Dims() != r.shape.Dims() {
-		return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, region.Dims(), r.shape.Dims())
+	if err := store.ValidateRegion(r.grid.Shape(), region); err != nil {
+		return nil, err
 	}
 	shards := r.regionShards(region)
 	reps := make([]*store.WriteReport, len(r.clients))
@@ -636,12 +461,13 @@ func (r *Router) DeleteRegion(ctx context.Context, region tensor.Region) (*store
 	if err != nil {
 		return nil, err
 	}
-	return mergeWriteReports(reps), nil
+	return sumWriteReports(reps), nil
 }
 
 // Kernel scatter-gathers the additive push-down kernels; per-shard
 // partials sum exactly because shard tiles are disjoint. SpMV and TTV
-// need cross-tile accumulators and are rejected, as on Chunked.
+// need cross-tile accumulators and are rejected, as on Chunked. A
+// sum_region region must lie inside the shape (store.ValidateRegion).
 func (r *Router) Kernel(ctx context.Context, req store.KernelRequest) (*store.KernelResult, error) {
 	sp, ctx := r.reg.StartCtx(ctx, obsRouterKernel)
 	if sp.Sampled() {
@@ -666,8 +492,8 @@ func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.
 	}
 	shards := r.allShards()
 	if req.Op == store.KernelSumRegion && req.Region != nil {
-		if req.Region.Dims() != r.shape.Dims() {
-			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", store.ErrShapeMismatch, req.Region.Dims(), r.shape.Dims())
+		if err := store.ValidateRegion(r.grid.Shape(), *req.Region); err != nil {
+			return nil, err
 		}
 		shards = r.regionShards(*req.Region)
 	}
@@ -694,12 +520,7 @@ func (r *Router) kernelAt(ctx context.Context, req store.KernelRequest) (*store.
 				out.Values[k] += v
 			}
 		}
-		out.Report.Fragments += res.Report.Fragments
-		out.Report.Skipped += res.Report.Skipped
-		out.Report.Cells += res.Report.Cells
-		out.Report.Shadowed += res.Report.Shadowed
-		out.Report.Dead += res.Report.Dead
-		out.Report.Epoch += res.Report.Epoch
+		out.Report.Add(res.Report)
 	}
 	return out, nil
 }

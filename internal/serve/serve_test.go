@@ -211,6 +211,87 @@ func TestServerRejectsOutOfShapeRegion(t *testing.T) {
 	if err != nil || res.Coords.Len() != 1 {
 		t.Fatalf("read after the rejected request: %v, %v", res, err)
 	}
+
+	// A router over chunked shards keeps the same region contract, in
+	// process and over the wire: the five out-of-shape regions of the
+	// store's TestQueryRejectsOutOfShapeRegion are bad requests for
+	// every read strategy, sum_region and delete.
+	shape, tile := tensor.Shape{10, 10}, tensor.Shape{4, 4}
+	router, err := serve.NewRouter([]string{newShard(t, core.COO, shape, tile), newShard(t, core.COO, shape, tile)}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	if _, err := router.Write(ctx, mustCoords(t, 2, 1, 1), []float64{7}); err != nil {
+		t.Fatal(err)
+	}
+	_, front, _ := startServer(t, router, serve.Config{})
+	bad := []tensor.Region{
+		{Start: []uint64{0, 0}, Size: []uint64{1 << 33, 1 << 33}},
+		{Start: []uint64{0, 0}, Size: []uint64{11, 1}},
+		{Start: []uint64{10, 0}, Size: []uint64{1, 1}},
+		{Start: []uint64{1, 0}, Size: []uint64{math.MaxUint64, 1}}, // start+size wraps
+		{Start: []uint64{0, 0}, Size: []uint64{0, 1}},
+	}
+	type target interface {
+		Query(context.Context, store.QueryRequest) (*store.Result, *store.ReadReport, error)
+		Kernel(context.Context, store.KernelRequest) (*store.KernelResult, error)
+		DeleteRegion(context.Context, tensor.Region) (*store.WriteReport, error)
+	}
+	for _, b := range []target{router, front} {
+		for _, region := range bad {
+			for _, strat := range []store.Strategy{store.StrategyDefault, store.StrategyScan, store.StrategyAuto} {
+				_, _, err := b.Query(ctx, store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: strat})
+				if !errors.Is(err, store.ErrBadRequest) || wire.CodeOf(err) != wire.CodeBadRequest {
+					t.Fatalf("%T: region %v, %v: err = %v, want bad_request", b, region, strat, err)
+				}
+			}
+			if _, err := b.Kernel(ctx, store.KernelRequest{Op: store.KernelSumRegion, Region: &region}); !errors.Is(err, store.ErrBadRequest) {
+				t.Fatalf("%T: sum_region %v: err = %v, want ErrBadRequest", b, region, err)
+			}
+			if _, err := b.DeleteRegion(ctx, region); !errors.Is(err, store.ErrBadRequest) {
+				t.Fatalf("%T: delete %v: err = %v, want ErrBadRequest", b, region, err)
+			}
+		}
+	}
+	res, _, err = front.Query(ctx, store.QueryRequest{Probe: mustCoords(t, 2, 1, 1), AsOf: store.AsOfLatest})
+	if err != nil || res.Coords.Len() != 1 {
+		t.Fatalf("routed read after the rejected requests: %v, %v", res, err)
+	}
+}
+
+// TestServedRegionTooLargeToProbe: a valid region too large to probe
+// cell by cell is a bad_request from a served chunked store, not a
+// crash of the serving process, and the same region still reads under
+// StrategyAuto.
+func TestServedRegionTooLargeToProbe(t *testing.T) {
+	big := uint64(1) << 40
+	for _, tc := range []struct {
+		shape, tile tensor.Shape
+		point       []uint64
+	}{
+		{tensor.Shape{1 << 31, 1 << 31}, tensor.Shape{1 << 16, 1 << 16}, []uint64{7, 1 << 30}},
+		{tensor.Shape{big, big, big, big}, tensor.Shape{1 << 15, 1 << 15, 1 << 15, 1 << 15}, []uint64{big - 1, 1, 2, 3}},
+	} {
+		ch, err := store.NewChunked(fsim.NewPerlmutterSim(), "c", core.COO, tc.shape, tc.tile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ch.Write(mustCoords(t, tc.shape.Dims(), tc.point...), []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+		_, c, _ := startServer(t, serve.ChunkedBackend(ch), serve.Config{})
+		ctx := context.Background()
+		whole := tensor.Region{Start: make([]uint64, tc.shape.Dims()), Size: tc.shape}
+		_, _, err = c.Query(ctx, store.QueryRequest{Region: &whole, AsOf: store.AsOfLatest})
+		if !errors.Is(err, store.ErrBadRequest) || wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("%v: default-strategy whole-shape read: err = %v, want bad_request", tc.shape, err)
+		}
+		res, _, err := c.Query(ctx, store.QueryRequest{Region: &whole, AsOf: store.AsOfLatest, Strategy: store.StrategyAuto})
+		if err != nil || res.Coords.Len() != 1 {
+			t.Fatalf("%v: auto whole-shape read: %v, %v; want 1 point", tc.shape, res, err)
+		}
+	}
 }
 
 // TestConcurrentClients hammers one server from many goroutines over
@@ -459,13 +540,16 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 				for _, strat := range []store.Strategy{store.StrategyDefault, store.StrategyScan, store.StrategyAuto} {
 					region := region
 					req := store.QueryRequest{Region: &region, AsOf: store.AsOfLatest, Strategy: strat}
-					want, _, err := local.Query(ctx, req)
+					want, wantRep, err := local.Query(ctx, req)
 					if err != nil {
 						t.Fatalf("local query %v/%v: %v", region, strat, err)
 					}
-					got, _, err := router.Query(ctx, req)
+					got, gotRep, err := router.Query(ctx, req)
 					if err != nil {
 						t.Fatalf("router query %v/%v: %v", region, strat, err)
+					}
+					if g, w := readCountersOf(gotRep), readCountersOf(wantRep); g != w {
+						t.Fatalf("%v/%v: router report counters %+v, local %+v", region, strat, g, w)
 					}
 					if !reflect.DeepEqual(got.Coords.Flat(), want.Coords.Flat()) ||
 						!reflect.DeepEqual(got.Values, want.Values) {
@@ -514,6 +598,13 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 						t.Fatalf("kernel %v[%d]: router %v local %v", kreq.Op, i, gotK.Values[i], want)
 					}
 				}
+				if kreq.Op == store.KernelSumRegion {
+					g, w := *gotK.Report, *wantK.Report
+					g.Epoch, w.Epoch = 0, 0
+					if g != w {
+						t.Fatalf("sum_region: router push report %+v, local %+v", g, w)
+					}
+				}
 			}
 			// SpMV needs cross-tile accumulation and must be rejected.
 			if _, err := router.Kernel(ctx, store.KernelRequest{Op: store.KernelSpMV, Vec: make([]float64, 24)}); !errors.Is(err, store.ErrBadRequest) {
@@ -521,6 +612,14 @@ func TestRouterMatchesLocalChunked(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readCounters is the part of a read report a router must sum to the
+// same values one local Chunked store reports.
+type readCounters struct{ fragments, probed, found, scans, candidates, filterSkipped int }
+
+func readCountersOf(rep *store.ReadReport) readCounters {
+	return readCounters{rep.Fragments, rep.Probed, rep.Found, rep.Scans, rep.Candidates, rep.FilterSkipped}
 }
 
 // randomPoints draws n distinct coordinates in shape with values.

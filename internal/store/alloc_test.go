@@ -90,4 +90,91 @@ func TestSerialReadAllocBudget(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Chunked", chunkedReadAllocBudget)
+}
+
+// chunkedReadAllocBudget pins a chunked region read's allocations and
+// checks they do not grow with the number of tiles: a 16x16 GCSR++
+// region inside one tile costs the same on a 1-tile 64² store as on a
+// 64-tile 512² store whose every tile holds the same 8 fragments of
+// 200 points.
+func chunkedReadAllocBudget(t *testing.T) {
+	t.Setenv(sharedCacheEnv, "on") // the shared cache, whatever the CI matrix sets
+	tile := tensor.Shape{64, 64}
+	budgets := map[string]float64{"region/probe": 115, "region/auto": 131, "sum_region": 387}
+	allocs := map[string][]float64{}
+	for _, tiles := range []uint64{1, 8} {
+		shape := tensor.Shape{64 * tiles, 64 * tiles}
+		st, err := NewChunked(newSim(t), "a", core.GCSR, shape, tile,
+			WithObs(obs.New()), WithReaderCache(64<<20), WithFragmentIndex(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for f := 0; f < 8; f++ {
+			local, vals := randomPoints(rng, tile, 200)
+			c := tensor.NewCoords(2, 0)
+			var all []float64
+			for ti := uint64(0); ti < tiles; ti++ {
+				for tj := uint64(0); tj < tiles; tj++ {
+					for i := 0; i < local.Len(); i++ {
+						p := local.At(i)
+						c.Append(p[0]+64*ti, p[1]+64*tj)
+					}
+					all = append(all, vals...)
+				}
+			}
+			if _, err := st.Write(c, all); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := uint64(st.Tiles()); got != tiles*tiles {
+			t.Fatalf("%d tiles, want %d", got, tiles*tiles)
+		}
+		// The region sits in the last tile's frame at the same local
+		// offset, so both stores do the same per-tile work.
+		o := 64 * (tiles - 1)
+		region, err := tensor.NewRegion(shape, []uint64{o + 24, o + 24}, []uint64{16, 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		cases := []struct {
+			name string
+			run  func() error
+		}{
+			{"region/probe", func() error {
+				_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest})
+				return err
+			}},
+			{"region/auto", func() error {
+				_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: StrategyAuto})
+				return err
+			}},
+			{"sum_region", func() error {
+				_, err := st.Kernel(ctx, KernelRequest{Op: KernelSumRegion, Region: &region, Workers: 1})
+				return err
+			}},
+		}
+		for _, c := range cases {
+			if err := c.run(); err != nil { // warms the cache and the metric families
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(20, func() {
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d tiles, %s: %.0f allocs/op (budget %.0f)", tiles*tiles, c.name, got, budgets[c.name])
+			if got > budgets[c.name] {
+				t.Errorf("%d tiles, %s: %.0f allocs/op, budget %.0f", tiles*tiles, c.name, got, budgets[c.name])
+			}
+			allocs[c.name] = append(allocs[c.name], got)
+		}
+	}
+	for name, got := range allocs {
+		if got[0] != got[1] {
+			t.Errorf("%s: %.0f allocs/op on 1 tile, %.0f on 64: the cost grows with the tile count", name, got[0], got[1])
+		}
+	}
 }

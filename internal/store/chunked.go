@@ -6,7 +6,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,13 +28,12 @@ type Chunked struct {
 	fs     fsim.FS
 	prefix string
 	kind   core.Kind
-	shape  tensor.Shape // global extents
-	tile   tensor.Shape // tile extents
+	grid   *Grid
 	codec  compress.ID
-	// stores maps tile key to tile store. It is copy-on-write: readers
-	// load the published map and walk it without a lock, and tileStore
-	// publishes a new map, under createMu, when it materializes a tile.
-	stores   atomic.Pointer[map[string]*Store]
+	// tiles lists the materialized tiles. It is copy-on-write: readers
+	// load the published set and walk it without a lock, and tileStore
+	// publishes a new set, under createMu, when it materializes a tile.
+	tiles    atomic.Pointer[tileSet]
 	createMu sync.Mutex
 	// opts are forwarded to every tile Store, so tiles share the parent's
 	// observability registry, build options, and manifest policy.
@@ -86,27 +84,15 @@ func NewChunked(fs fsim.FS, prefix string, kind core.Kind, shape, tile tensor.Sh
 // in-memory Chunked with no tiles — the part NewChunked and
 // OpenChunked share.
 func newChunkedShell(fs fsim.FS, prefix string, kind core.Kind, shape, tile tensor.Shape, opts []Option) (*Chunked, error) {
-	if err := shape.Validate(); err != nil {
+	grid, err := NewGrid(shape, tile)
+	if err != nil {
 		return nil, err
-	}
-	if err := tile.Validate(); err != nil {
-		return nil, err
-	}
-	if len(tile) != len(shape) {
-		return nil, fmt.Errorf("store: tile rank %d != shape rank %d", len(tile), len(shape))
-	}
-	if _, ok := tile.Volume(); !ok {
-		return nil, fmt.Errorf("store: %w: tile %v", tensor.ErrOverflow, tile)
 	}
 	if _, err := core.Get(kind); err != nil {
 		return nil, err
 	}
-	c := &Chunked{
-		fs: fs, prefix: prefix, kind: kind,
-		shape: shape.Clone(), tile: tile.Clone(),
-		opts: opts,
-	}
-	c.stores.Store(&map[string]*Store{})
+	c := &Chunked{fs: fs, prefix: prefix, kind: kind, grid: grid, opts: opts}
+	c.tiles.Store(&tileSet{})
 	// Probe the option set once: misuse is rejected here (before any
 	// tile exists) rather than on the first write that materializes one.
 	var probe Store
@@ -155,7 +141,7 @@ func (c *Chunked) Obs() *obs.Registry { return c.obsReg() }
 // Close folds every tile's manifest log into its checkpoint, bounding
 // the replay work the next open of each tile pays. Tiles remain usable.
 func (c *Chunked) Close() error {
-	for _, t := range c.sortedTiles() {
+	for _, t := range c.loadTiles().tiles {
 		if err := t.st.Close(); err != nil {
 			return fmt.Errorf("store: close tile %s: %w", t.key, err)
 		}
@@ -163,43 +149,108 @@ func (c *Chunked) Close() error {
 	return nil
 }
 
-// tileMap returns the published tile map. Callers must not modify it.
-func (c *Chunked) tileMap() map[string]*Store { return *c.stores.Load() }
-
-// tileRef is one materialized tile.
+// tileRef is one materialized tile: its Store, and the index, key and
+// origin it was materialized or reopened at, computed once.
 type tileRef struct {
-	key string
-	st  *Store
+	idx    []uint64
+	key    string
+	origin []uint64
+	st     *Store
 }
 
-// sortedTiles returns the non-empty tiles in deterministic key order.
-func (c *Chunked) sortedTiles() []tileRef {
-	m := c.tileMap()
-	tiles := make([]tileRef, 0, len(m))
-	for key, st := range m {
-		tiles = append(tiles, tileRef{key, st})
+// tileSet is a published set of materialized tiles in row-major index
+// order, the order Grid.Walk visits. Callers must not modify it.
+type tileSet struct {
+	idx   [][]uint64 // idx[i] is tiles[i].idx
+	tiles []*tileRef
+}
+
+// loadTiles returns the published tile set.
+func (c *Chunked) loadTiles() *tileSet { return c.tiles.Load() }
+
+// find returns the tile at idx, or nil when it is not materialized.
+func (s *tileSet) find(idx []uint64) *tileRef {
+	if i, ok := slices.BinarySearchFunc(s.idx, idx, slices.Compare[[]uint64]); ok {
+		return s.tiles[i]
 	}
-	slices.SortFunc(tiles, func(a, b tileRef) int { return strings.Compare(a.key, b.key) })
-	return tiles
+	return nil
+}
+
+// with returns a new set holding s's tiles and t.
+func (s *tileSet) with(t *tileRef) *tileSet {
+	i, _ := slices.BinarySearchFunc(s.idx, t.idx, slices.Compare[[]uint64])
+	return &tileSet{
+		idx:   slices.Insert(slices.Clip(s.idx), i, t.idx),
+		tiles: slices.Insert(slices.Clip(s.tiles), i, t),
+	}
+}
+
+// newTile wraps the store of the tile at idx.
+func (c *Chunked) newTile(idx []uint64, key string, st *Store) *tileRef {
+	return &tileRef{idx: idx, key: key, origin: c.grid.Origin(idx), st: st}
+}
+
+// tileOpts returns the options a tile store opens with: the forwarded
+// ones, plus the shared cache (superseding any forwarded per-tile
+// budget — it was already spent on the shared cache) and a scope
+// label for per-tile hit metrics.
+func (c *Chunked) tileOpts(key string) []Option {
+	if c.cache == nil {
+		return c.opts
+	}
+	return append(c.opts[:len(c.opts):len(c.opts)], withTileCache(c.cache), withCacheScope(key))
+}
+
+// eachTile calls fn, in row-major tile order, for every materialized
+// tile region overlaps, with the overlap in the tile's frame; a nil
+// region visits every tile with a nil local region. It is the one tile
+// walk region reads, kernels and deletes share. ctx is checked before
+// each tile.
+func (c *Chunked) eachTile(ctx context.Context, region *tensor.Region, fn func(t *tileRef, local *tensor.Region) error) error {
+	set := c.loadTiles()
+	var err error
+	visit := func(t *tileRef, local *tensor.Region) bool {
+		if err = ctx.Err(); err == nil {
+			err = fn(t, local)
+		}
+		return err == nil
+	}
+	if len(set.tiles) == 0 {
+		return nil // a nil set.idx would make Walk visit every index
+	}
+	if region == nil {
+		for _, t := range set.tiles {
+			if !visit(t, nil) {
+				break
+			}
+		}
+		return err
+	}
+	c.grid.Walk(*region, set.idx, func(i int, _ []uint64) bool {
+		t := set.tiles[i]
+		local, ok := c.grid.Clip(*region, t.idx)
+		return !ok || visit(t, &local)
+	})
+	return err
 }
 
 // Shape returns the global shape.
-func (c *Chunked) Shape() tensor.Shape { return c.shape }
+func (c *Chunked) Shape() tensor.Shape { return c.grid.shape }
 
 // Kind returns the organization every tile writes.
 func (c *Chunked) Kind() core.Kind { return c.kind }
 
 // Tile returns the tile extents (interior tiles; edge tiles clip).
-func (c *Chunked) Tile() tensor.Shape { return c.tile }
+func (c *Chunked) Tile() tensor.Shape { return c.grid.tile }
 
 // Tiles returns the number of non-empty tiles.
-func (c *Chunked) Tiles() int { return len(c.tileMap()) }
+func (c *Chunked) Tiles() int { return len(c.loadTiles().tiles) }
 
 // Fragments sums live fragments across all tiles.
 func (c *Chunked) Fragments() int {
 	var total int
-	for _, s := range c.tileMap() {
-		total += s.Fragments()
+	for _, t := range c.loadTiles().tiles {
+		total += t.st.Fragments()
 	}
 	return total
 }
@@ -208,8 +259,8 @@ func (c *Chunked) Fragments() int {
 // the whole chunked store, not a single MVCC version.
 func (c *Chunked) Epoch() uint64 {
 	var total uint64
-	for _, s := range c.tileMap() {
-		total += s.Epoch()
+	for _, t := range c.loadTiles().tiles {
+		total += t.st.Epoch()
 	}
 	return total
 }
@@ -217,72 +268,32 @@ func (c *Chunked) Epoch() uint64 {
 // TotalBytes sums fragment bytes across all tiles.
 func (c *Chunked) TotalBytes() int64 {
 	var total int64
-	for _, s := range c.tileMap() {
-		total += s.TotalBytes()
+	for _, t := range c.loadTiles().tiles {
+		total += t.st.TotalBytes()
 	}
 	return total
 }
 
-// tileIndex returns the per-dimension tile index of a global point.
-func (c *Chunked) tileIndex(p []uint64) []uint64 {
-	idx := make([]uint64, len(p))
-	for d := range p {
-		idx[d] = p[d] / c.tile[d]
-	}
-	return idx
-}
-
-func tileKey(idx []uint64) string {
-	var b strings.Builder
-	b.WriteString("t")
-	for _, v := range idx {
-		fmt.Fprintf(&b, "-%d", v)
-	}
-	return b.String()
-}
-
-// tileShape returns the (edge-clipped) extents of the tile at idx.
-func (c *Chunked) tileShape(idx []uint64) tensor.Shape {
-	s := make(tensor.Shape, len(idx))
-	for d := range idx {
-		origin := idx[d] * c.tile[d]
-		s[d] = c.tile[d]
-		if origin+s[d] > c.shape[d] {
-			s[d] = c.shape[d] - origin
-		}
-	}
-	return s
-}
-
+// tileStore returns the store of the tile at idx, materializing it on
+// first use.
 func (c *Chunked) tileStore(idx []uint64) (*Store, error) {
-	key := tileKey(idx)
-	if s, ok := c.tileMap()[key]; ok {
-		return s, nil
+	if t := c.loadTiles().find(idx); t != nil {
+		return t.st, nil
 	}
 	c.createMu.Lock()
 	defer c.createMu.Unlock()
-	old := c.tileMap()
-	if s, ok := old[key]; ok {
-		return s, nil // another writer created it meanwhile
+	old := c.loadTiles()
+	if t := old.find(idx); t != nil {
+		return t.st, nil // another writer created it meanwhile
 	}
-	opts := c.opts
-	if c.cache != nil {
-		// Inject the shared cache (superseding any forwarded per-tile
-		// budget — it was already spent on the shared cache) and label
-		// this tile's traffic for per-tile hit metrics.
-		opts = append(opts[:len(opts):len(opts)], withTileCache(c.cache), withCacheScope(key))
-	}
-	s, err := Create(c.fs, c.prefix+"/"+key, c.kind, c.tileShape(idx), opts...)
+	key := c.grid.Key(idx)
+	s, err := Create(c.fs, c.prefix+"/"+key, c.kind, c.grid.TileShape(idx), c.tileOpts(key)...)
 	if err != nil {
 		return nil, err
 	}
-	next := make(map[string]*Store, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = s
-	c.stores.Store(&next)
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(next)))
+	next := old.with(c.newTile(slices.Clone(idx), key, s))
+	c.tiles.Store(next)
+	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(next.tiles)))
 	return s, nil
 }
 
@@ -297,28 +308,38 @@ type tilePart struct {
 // partitionByTile splits global points into per-tile buckets with
 // tile-local coordinates, preserving input order within each bucket.
 // Returned keys are in first-seen order; callers sort for determinism.
+// A point outside the shape is an error when vals is given (a write),
+// and is dropped when vals is nil (a probe, which simply does not
+// find it).
 func (c *Chunked) partitionByTile(coords *tensor.Coords, vals []float64) (map[string]*tilePart, []string, error) {
 	parts := map[string]*tilePart{}
 	var keys []string
+	idx := make([]uint64, coords.Dims())
 	local := make([]uint64, coords.Dims())
+	var key []byte
 	for i, n := 0, coords.Len(); i < n; i++ {
 		p := coords.At(i)
-		if !c.shape.Contains(p) {
-			return nil, nil, fmt.Errorf("store: point %v outside shape %v", p, c.shape)
+		if !c.grid.shape.Contains(p) {
+			if vals == nil {
+				continue
+			}
+			return nil, nil, fmt.Errorf("store: point %v outside shape %v", p, c.grid.shape)
 		}
-		idx := c.tileIndex(p)
-		key := tileKey(idx)
-		g, ok := parts[key]
+		c.grid.TileOf(idx, p)
+		key = c.grid.AppendKey(key[:0], idx)
+		g, ok := parts[string(key)]
 		if !ok {
-			g = &tilePart{idx: idx, coords: tensor.NewCoords(coords.Dims(), 0)}
-			parts[key] = g
-			keys = append(keys, key)
+			g = &tilePart{idx: slices.Clone(idx), coords: tensor.NewCoords(coords.Dims(), 0)}
+			parts[string(key)] = g
+			keys = append(keys, string(key))
 		}
 		for d := range p {
-			local[d] = p[d] - idx[d]*c.tile[d]
+			local[d] = p[d] - idx[d]*c.grid.tile[d]
 		}
 		g.coords.Append(local...)
-		g.vals = append(g.vals, vals[i])
+		if vals != nil {
+			g.vals = append(g.vals, vals[i])
+		}
 	}
 	return parts, keys, nil
 }
@@ -330,8 +351,8 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 	if coords.Len() != len(vals) {
 		return nil, fmt.Errorf("store: %d points with %d values", coords.Len(), len(vals))
 	}
-	if coords.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim coords for %d-dim store", coords.Dims(), c.shape.Dims())
+	if coords.Dims() != c.grid.shape.Dims() {
+		return nil, fmt.Errorf("store: %d-dim coords for %d-dim store", coords.Dims(), c.grid.shape.Dims())
 	}
 	root := c.obsReg().Start(obsChunkedWrite)
 	defer root.End()
@@ -340,7 +361,7 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 		return nil, err
 	}
 	sort.Strings(keys) // deterministic tile order
-	total := &WriteReport{NNZ: coords.Len()}
+	total := &WriteReport{}
 	for _, key := range keys {
 		g := groups[key]
 		s, err := c.tileStore(g.idx)
@@ -351,11 +372,7 @@ func (c *Chunked) Write(coords *tensor.Coords, vals []float64) (*WriteReport, er
 		if err != nil {
 			return nil, err
 		}
-		total.Build += rep.Build
-		total.Reorg += rep.Reorg
-		total.Write += rep.Write
-		total.Others += rep.Others
-		total.Bytes += rep.Bytes
+		total.Add(rep)
 	}
 	return total, nil
 }
@@ -377,144 +394,24 @@ func (c *Chunked) ReadRegion(region tensor.Region) (*Result, *ReadReport, error)
 }
 
 // DeleteRegion writes tombstones over the region in every existing tile
-// it intersects (tiles with no data need none). The intersecting tiles
-// are found arithmetically — the region's bounding box maps to a
-// hyper-rectangle of tile indices — so a small delete in a store of
-// many tiles touches only the tiles it covers, not every tile the store
-// has ever materialized. Only when the region spans more candidate
-// tiles than exist does the walk fall back to the existing-tile list.
+// it intersects (tiles with no data need none), found by the same tile
+// walk region reads use: a small delete in a store of many tiles
+// touches only the tiles it covers. The region must lie inside the
+// shape (ValidateRegion).
 func (c *Chunked) DeleteRegion(region tensor.Region) (*WriteReport, error) {
-	if region.Dims() != c.shape.Dims() {
-		return nil, fmt.Errorf("store: %d-dim region for %d-dim store", region.Dims(), c.shape.Dims())
-	}
-	for d := range region.Start {
-		if region.Size[d] == 0 || region.Start[d] >= c.shape[d] ||
-			region.Start[d]+region.Size[d] > c.shape[d] {
-			return nil, fmt.Errorf("store: region outside shape in dim %d", d)
-		}
+	if err := ValidateRegion(c.grid.shape, region); err != nil {
+		return nil, err
 	}
 	root := c.obsReg().Start(obsChunkedDelete)
 	defer root.End()
 	total := &WriteReport{}
-	box := region.BBox()
-	tiles := c.tileMap()
-
-	// deleteInTile intersects the global region with one tile's frame
-	// and writes the tombstone there.
-	deleteInTile := func(st *Store, idx []uint64) error {
-		tileShape := st.Shape()
-		local := tensor.Region{
-			Start: make([]uint64, len(idx)),
-			Size:  make([]uint64, len(idx)),
-		}
-		for d := range idx {
-			origin := idx[d] * c.tile[d]
-			lo := box.Min[d]
-			if origin > lo {
-				lo = origin
-			}
-			hi := box.Max[d]
-			if end := origin + tileShape[d] - 1; end < hi {
-				hi = end
-			}
-			if lo > hi {
-				return nil // tile frame misses the region
-			}
-			local.Start[d] = lo - origin
-			local.Size[d] = hi - lo + 1
-		}
-		rep, err := st.DeleteRegion(local)
-		if err != nil {
-			return err
-		}
-		total.Write += rep.Write
-		total.Others += rep.Others
-		total.Bytes += rep.Bytes
-		return nil
-	}
-
-	// The candidate tile-index hyper-rectangle, and whether its volume
-	// stays within the number of existing tiles (overflow-safe: the
-	// division test rejects before the product can wrap).
-	dims := c.shape.Dims()
-	lo := make([]uint64, dims)
-	hi := make([]uint64, dims)
-	span := uint64(1)
-	bounded := true
-	for d := 0; d < dims; d++ {
-		lo[d] = box.Min[d] / c.tile[d]
-		hi[d] = box.Max[d] / c.tile[d]
-		n := hi[d] - lo[d] + 1
-		if bounded && span > uint64(len(tiles))/n {
-			bounded = false
-		}
-		if bounded {
-			span *= n
-		}
-	}
-
-	if bounded {
-		idx := append([]uint64(nil), lo...)
-		for {
-			if st, ok := tiles[tileKey(idx)]; ok {
-				if err := deleteInTile(st, idx); err != nil {
-					return nil, err
-				}
-			}
-			d := dims - 1
-			for d >= 0 {
-				idx[d]++
-				if idx[d] <= hi[d] {
-					break
-				}
-				idx[d] = lo[d]
-				d--
-			}
-			if d < 0 {
-				break
-			}
-		}
-		return total, nil
-	}
-
-	for _, t := range c.sortedTiles() {
-		idx := c.tileIndexFromKey(t.key)
-		if idx == nil {
-			return nil, fmt.Errorf("store: corrupt tile key %q", t.key)
-		}
-		inside := true
-		for d := range idx {
-			if idx[d] < lo[d] || idx[d] > hi[d] {
-				inside = false
-				break
-			}
-		}
-		if !inside {
-			continue
-		}
-		if err := deleteInTile(t.st, idx); err != nil {
-			return nil, err
-		}
+	err := c.eachTile(context.Background(), &region, func(t *tileRef, local *tensor.Region) error {
+		rep, err := t.st.DeleteRegion(*local)
+		total.Add(rep)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return total, nil
-}
-
-// tileIndexFromKey parses a "t-1-2-3" tile key back to indices.
-func (c *Chunked) tileIndexFromKey(key string) []uint64 {
-	parts := strings.Split(key, "-")
-	if len(parts) != c.shape.Dims()+1 || parts[0] != "t" {
-		return nil
-	}
-	idx := make([]uint64, c.shape.Dims())
-	for d, p := range parts[1:] {
-		var v uint64
-		for _, ch := range p {
-			if ch < '0' || ch > '9' {
-				return nil
-			}
-			v = v*10 + uint64(ch-'0')
-		}
-		idx[d] = v
-	}
-	return idx
 }

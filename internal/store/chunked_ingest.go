@@ -61,8 +61,8 @@ func (c *Chunked) WriteBatchContext(ctx context.Context, batches []Batch, worker
 		if b.Coords.Len() != len(b.Values) {
 			return fmt.Errorf("store: batch %d: %d points with %d values", i, b.Coords.Len(), len(b.Values))
 		}
-		if b.Coords.Dims() != c.shape.Dims() {
-			return fmt.Errorf("store: batch %d: %d-dim coords for %d-dim store", i, b.Coords.Dims(), c.shape.Dims())
+		if b.Coords.Dims() != c.grid.shape.Dims() {
+			return fmt.Errorf("store: batch %d: %d-dim coords for %d-dim store", i, b.Coords.Dims(), c.grid.shape.Dims())
 		}
 	}
 	if len(batches) == 0 {

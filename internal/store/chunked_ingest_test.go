@@ -275,7 +275,7 @@ func TestChunkedSharedCacheEnvOff(t *testing.T) {
 	// The tile budgets independently — unless the global budget env
 	// disables caching outright (the CI cache-off matrix run).
 	if os.Getenv(cacheBudgetEnv) != "off" {
-		tileSt := st.tileMap()["t-0-0"]
+		tileSt := st.loadTiles().find([]uint64{0, 0}).st
 		if tileSt.cache == nil {
 			t.Fatal("tile has no private cache under env off")
 		}
@@ -351,7 +351,8 @@ func TestChunkedGroupAppendFailure(t *testing.T) {
 	ff.FailOn = ""
 	// Nothing was delivered, so nothing may be visible: every tile that
 	// was materialized reopens empty.
-	for key := range st.tileMap() {
+	for _, tile := range st.loadTiles().tiles {
+		key := tile.key
 		tileSt, err := Open(sim, "f/"+key)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sparseart/internal/buf"
@@ -34,9 +34,9 @@ func (c *Chunked) writeChunkedManifest() error {
 	defer buf.PutWriter(w)
 	w.U32(chunkedManifestMagic)
 	w.U8(uint8(c.kind))
-	w.U16(uint16(c.shape.Dims()))
-	w.RawU64s(c.shape)
-	w.RawU64s(c.tile)
+	w.U16(uint16(c.grid.shape.Dims()))
+	w.RawU64s(c.grid.shape)
+	w.RawU64s(c.grid.tile)
 	if err := c.fs.WriteFile(chunkedManifestPath(c.prefix), w.Bytes()); err != nil {
 		return fmt.Errorf("store: write chunked manifest: %w", err)
 	}
@@ -77,50 +77,44 @@ func OpenChunked(fs fsim.FS, prefix string, opts ...Option) (*Chunked, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiles := map[string]*Store{}
-	for _, key := range discoverTileKeys(fs, prefix, shape.Dims()) {
-		idx := c.tileIndexFromKey(key)
-		if idx == nil {
+	// Tile keys are parsed here, once; the tile set keeps each index.
+	set := &tileSet{}
+	for _, key := range discoverTileKeys(fs, prefix) {
+		idx, ok := c.grid.ParseKey(key)
+		if !ok {
 			continue
 		}
-		tileOpts := c.opts
-		if c.cache != nil {
-			tileOpts = append(tileOpts[:len(tileOpts):len(tileOpts)], withTileCache(c.cache), withCacheScope(key))
-		}
-		s, err := Open(fs, prefix+"/"+key, tileOpts...)
+		s, err := Open(fs, prefix+"/"+key, c.tileOpts(key)...)
 		if err != nil {
 			return nil, fmt.Errorf("store: open tile %s: %w", key, err)
 		}
-		tiles[key] = s
+		set.tiles = append(set.tiles, c.newTile(idx, key, s))
 	}
-	c.stores.Store(&tiles)
-	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(tiles)))
+	slices.SortFunc(set.tiles, func(a, b *tileRef) int { return slices.Compare(a.idx, b.idx) })
+	for _, t := range set.tiles {
+		set.idx = append(set.idx, t.idx)
+	}
+	c.tiles.Store(set)
+	c.obsReg().Gauge("store.chunked.tiles", "kind", c.kind.String()).Set(int64(len(set.tiles)))
 	return c, nil
 }
 
-// discoverTileKeys lists the tile directory names ("t-0-1") that hold
-// a manifest or manifest log under prefix, in sorted order. fs.List
-// walks recursively, so tile payloads surface their directory.
-func discoverTileKeys(fs fsim.FS, prefix string, dims int) []string {
+// discoverTileKeys lists, sorted and without repeats, the directory
+// names under prefix that look like tile keys ("t-0-1"); OpenChunked
+// parses each. fs.List walks recursively, so tile payloads surface
+// their directory.
+func discoverTileKeys(fs fsim.FS, prefix string) []string {
 	names, err := fs.List(prefix + "/t-")
 	if err != nil {
 		return nil
 	}
-	seen := map[string]bool{}
 	var keys []string
 	for _, name := range names {
-		rest := strings.TrimPrefix(name, prefix+"/")
-		slash := strings.IndexByte(rest, '/')
-		if slash < 0 {
-			continue // a file directly under the prefix, not a tile dir
+		// A file directly under the prefix is not a tile directory.
+		if key, _, ok := strings.Cut(strings.TrimPrefix(name, prefix+"/"), "/"); ok {
+			keys = append(keys, key)
 		}
-		key := rest[:slash]
-		if seen[key] || strings.Count(key, "-") != dims {
-			continue
-		}
-		seen[key] = true
-		keys = append(keys, key)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

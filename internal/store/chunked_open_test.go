@@ -111,14 +111,23 @@ func TestQueryContextCanceled(t *testing.T) {
 
 // TestQueryRejectsOutOfShapeRegion: a region outside the store's
 // shape is a typed bad request under every strategy and budget, never
-// a panic. The first case is a volume that overflows uint64, which the
-// probe strategy used to materialize cell by cell.
+// a panic, on a flat store and on a chunked one alike. The first case
+// is a volume that overflows uint64, which the probe strategy used to
+// materialize cell by cell; the chunked store used to clip the others
+// to the tiles instead of rejecting them.
 func TestQueryRejectsOutOfShapeRegion(t *testing.T) {
 	st, err := Create(newSim(t), "s", core.COO, tensor.Shape{10, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch, err := NewChunked(newSim(t), "c", core.COO, tensor.Shape{10, 10}, tensor.Shape{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := st.Write(mustFromFlat(t, 2, 1, 1), []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Write(mustFromFlat(t, 2, 1, 1), []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	bad := []tensor.Region{
@@ -129,18 +138,75 @@ func TestQueryRejectsOutOfShapeRegion(t *testing.T) {
 		{Start: []uint64{0, 0}, Size: []uint64{0, 1}},
 	}
 	ctx := context.Background()
-	for _, region := range bad {
-		for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
-			for _, workers := range []int{0, 4} {
-				_, _, err := st.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat, Workers: workers})
-				if !errors.Is(err, ErrBadRequest) {
-					t.Fatalf("region %v, %v, workers %d: err = %v, want ErrBadRequest", region, strat, workers, err)
+	targets := []struct {
+		name string
+		q    interface {
+			Query(context.Context, QueryRequest) (*Result, *ReadReport, error)
+			Kernel(context.Context, KernelRequest) (*KernelResult, error)
+		}
+	}{{"flat", st}, {"chunked", ch}}
+	for _, tg := range targets {
+		for _, region := range bad {
+			for _, strat := range []Strategy{StrategyDefault, StrategyScan, StrategyAuto} {
+				for _, workers := range []int{0, 4} {
+					_, _, err := tg.q.Query(ctx, QueryRequest{Region: &region, AsOf: AsOfLatest, Strategy: strat, Workers: workers})
+					if !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("%s: region %v, %v, workers %d: err = %v, want ErrBadRequest", tg.name, region, strat, workers, err)
+					}
 				}
 			}
+			_, err := tg.q.Kernel(ctx, KernelRequest{Op: KernelSumRegion, Region: &region})
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%s: sum_region %v: err = %v, want ErrBadRequest", tg.name, region, err)
+			}
 		}
-		_, err := st.Kernel(ctx, KernelRequest{Op: KernelSumRegion, Region: &region})
+	}
+	for _, region := range bad {
+		if _, err := ch.DeleteRegion(region); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("chunked delete %v: err = %v, want ErrBadRequest", region, err)
+		}
+	}
+}
+
+// TestRegionTooLargeToProbe: a valid region whose probe list would
+// exceed maxProbeBytes is a bad request under the default strategy,
+// not a process-killing allocation, while scan and auto still answer
+// it. Both a flat 2^31 x 2^31 store and the chunked 2^160-cell store
+// of TestChunkedHandlesOverflowShape are covered.
+func TestRegionTooLargeToProbe(t *testing.T) {
+	ctx := context.Background()
+	flat, err := Create(newSim(t), "f", core.COO, tensor.Shape{1 << 31, 1 << 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.Write(mustFromFlat(t, 2, 7, 1<<30), []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	big := uint64(1) << 40
+	ch, err := NewChunked(newSim(t), "c", core.Linear, tensor.Shape{big, big, big, big}, tensor.Shape{1 << 15, 1 << 15, 1 << 15, 1 << 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Write(mustFromFlat(t, 4, 0, 1, 2, 3, big-1, big-1, big-1, big-1), []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	targets := []struct {
+		name  string
+		query func(context.Context, QueryRequest) (*Result, *ReadReport, error)
+		shape tensor.Shape
+		want  int
+	}{{"flat", flat.Query, flat.Shape(), 1}, {"chunked", ch.Query, ch.Shape(), 2}}
+	for _, tg := range targets {
+		whole := tensor.Region{Start: make([]uint64, tg.shape.Dims()), Size: tg.shape}
+		_, _, err := tg.query(ctx, QueryRequest{Region: &whole, AsOf: AsOfLatest})
 		if !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("sum_region %v: err = %v, want ErrBadRequest", region, err)
+			t.Fatalf("%s: default-strategy whole-shape read: err = %v, want ErrBadRequest", tg.name, err)
+		}
+		for _, strat := range []Strategy{StrategyScan, StrategyAuto} {
+			res, _, err := tg.query(ctx, QueryRequest{Region: &whole, AsOf: AsOfLatest, Strategy: strat})
+			if err != nil || res.Coords.Len() != tg.want {
+				t.Fatalf("%s: %v whole-shape read: %v points, err %v; want %d", tg.name, strat, res, err, tg.want)
+			}
 		}
 	}
 }

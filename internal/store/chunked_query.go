@@ -3,28 +3,28 @@ package store
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"sparseart/internal/tensor"
 )
 
 // The chunked store's unified request surface. Probe targets partition
-// by tile exactly like Chunked.Read always has; region targets
-// intersect the region with each materialized tile and run the
-// tile-local sub-region through the tile store's Query — so scan and
-// auto strategies work per tile, and a region read touches only the
-// tiles it covers instead of materializing every global cell. Results
-// are sorted by global row-major order, which equals linear-address
-// order: byte-identical to the flat store's merge, and the order the
-// router's scatter-gather reproduces across shard processes.
+// by tile as writes do; region targets walk the materialized tiles the
+// region overlaps (Grid.Walk) and run each tile-local sub-region
+// through the tile store's Query — so scan and auto strategies work
+// per tile, and a region read touches only the tiles it covers instead
+// of materializing every global cell. Results merge (MergeRuns) into
+// global row-major order, which equals linear-address order:
+// byte-identical to the flat store's merge, and the order the router's
+// scatter-gather reproduces across shard processes.
 
-// Query answers one QueryRequest against the chunked store. AsOf is
-// rejected: fragment counts are per tile, so a global version number
-// is not meaningful here.
+// Query answers one QueryRequest against the chunked store. A region
+// must lie inside the global shape, as on a flat Store
+// (ValidateRegion); anything else is ErrBadRequest. AsOf is rejected:
+// fragment counts are per tile, so a global version number is not
+// meaningful here.
 func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(c.shape.Dims()); err != nil {
+	if err := req.Validate(c.grid.shape); err != nil {
 		return nil, nil, err
 	}
 	if req.AsOf != AsOfLatest {
@@ -49,49 +49,15 @@ func (c *Chunked) Query(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 	return res, rep, err
 }
 
-// globalHit is one found point in global coordinates, collected across
-// tiles before the final row-major sort.
-type globalHit struct {
-	p   []uint64
-	val float64
-}
-
-// globalize appends a tile's result to hits, translated from the
-// frame of the tile at idx to global coordinates.
-func (c *Chunked) globalize(hits []globalHit, res *Result, idx []uint64) []globalHit {
-	for i, n := 0, res.Coords.Len(); i < n; i++ {
-		lp := res.Coords.At(i)
-		gp := make([]uint64, len(lp))
-		for d := range lp {
-			gp[d] = lp[d] + idx[d]*c.tile[d]
-		}
-		hits = append(hits, globalHit{p: gp, val: res.Values[i]})
-	}
-	return hits
-}
-
-// finishHits sorts the collected hits into global row-major order —
-// the same order the flat store's linear-address merge produces — and
-// materializes the Result.
-func (c *Chunked) finishHits(hits []globalHit, rep *ReadReport) *Result {
+// merge combines the tiles' results into global row-major order — the
+// order the flat store's linear-address merge produces — and charges
+// the time to the report's Merge phase.
+func (c *Chunked) merge(runs []Run, rep *ReadReport) *Result {
 	t := time.Now()
-	sort.Slice(hits, func(a, b int) bool {
-		pa, pb := hits[a].p, hits[b].p
-		for d := range pa {
-			if pa[d] != pb[d] {
-				return pa[d] < pb[d]
-			}
-		}
-		return false
-	})
-	out := &Result{Coords: tensor.NewCoords(c.shape.Dims(), len(hits))}
-	for _, h := range hits {
-		out.Coords.Append(h.p...)
-		out.Values = append(out.Values, h.val)
-	}
+	res := MergeRuns(c.grid.shape.Dims(), runs)
 	rep.Merge += time.Since(t)
-	rep.Found = len(hits)
-	return out
+	rep.Found = res.Coords.Len()
+	return res
 }
 
 // queryProbe partitions the probe by tile and reads each tile's slice
@@ -100,123 +66,69 @@ func (c *Chunked) finishHits(hits []globalHit, rep *ReadReport) *Result {
 func (c *Chunked) queryProbe(ctx context.Context, probe *tensor.Coords, workers int) (*Result, *ReadReport, error) {
 	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
 	defer root.End()
-	type part struct {
-		idx    []uint64
-		coords *tensor.Coords
+	parts, keys, err := c.partitionByTile(probe, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	parts := map[string]*part{}
-	var keys []string
-	tiles := c.tileMap()
-	local := make([]uint64, probe.Dims())
-	for i, n := 0, probe.Len(); i < n; i++ {
-		p := probe.At(i)
-		if !c.shape.Contains(p) {
-			continue
-		}
-		idx := c.tileIndex(p)
-		key := tileKey(idx)
-		if _, ok := tiles[key]; !ok {
-			continue
-		}
-		g, ok := parts[key]
-		if !ok {
-			g = &part{idx: idx, coords: tensor.NewCoords(probe.Dims(), 0)}
-			parts[key] = g
-			keys = append(keys, key)
-		}
-		for d := range p {
-			local[d] = p[d] - idx[d]*c.tile[d]
-		}
-		g.coords.Append(local...)
-	}
-	sort.Strings(keys)
-
+	set := c.loadTiles()
 	rep := &ReadReport{}
-	var hits []globalHit
+	runs := make([]Run, 0, len(keys))
 	for _, key := range keys {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		g := parts[key]
-		res, r, err := tiles[key].Query(ctx, QueryRequest{Probe: g.coords, AsOf: AsOfLatest, Workers: workers})
+		t := set.find(g.idx)
+		if t == nil {
+			continue
+		}
+		res, r, err := t.st.Query(ctx, QueryRequest{Probe: g.coords, AsOf: AsOfLatest, Workers: workers})
 		if err != nil {
 			return nil, nil, err
 		}
-		addReadReport(rep, r)
-		hits = c.globalize(hits, res, g.idx)
+		rep.Add(r)
+		runs = append(runs, Run{Result: res, Origin: t.origin})
 	}
-	return c.finishHits(hits, rep), rep, nil
-}
-
-// tileClip intersects a global region with the tile at idx and returns
-// the tile-local sub-region; ok is false when they do not overlap.
-func (c *Chunked) tileClip(region tensor.Region, idx []uint64) (tensor.Region, bool) {
-	ext := c.tileShape(idx)
-	lo := make([]uint64, len(idx))
-	size := make([]uint64, len(idx))
-	for d := range idx {
-		origin := idx[d] * c.tile[d]
-		tileEnd := origin + ext[d]
-		regEnd := region.Start[d] + region.Size[d]
-		if regEnd < region.Start[d] {
-			regEnd = math.MaxUint64 // start+size overflowed; clamp
-		}
-		l, h := max(region.Start[d], origin), tileEnd
-		if regEnd < h {
-			h = regEnd
-		}
-		if l >= h {
-			return tensor.Region{}, false
-		}
-		lo[d] = l - origin
-		size[d] = h - l
-	}
-	return tensor.Region{Start: lo, Size: size}, true
+	return c.merge(runs, rep), rep, nil
 }
 
 // queryRegion runs the region against every materialized tile it
-// intersects, as a tile-local sub-region query, and merges the global
+// overlaps, as a tile-local sub-region query, and merges the global
 // results in row-major order.
 func (c *Chunked) queryRegion(ctx context.Context, region tensor.Region, strategy Strategy, workers int) (*Result, *ReadReport, error) {
 	root, ctx := c.obsReg().StartCtx(ctx, obsChunkedRead)
 	defer root.End()
 	rep := &ReadReport{}
-	var hits []globalHit
-	for _, t := range c.sortedTiles() {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		idx := c.tileIndexFromKey(t.key)
-		if idx == nil {
-			continue
-		}
-		localReg, ok := c.tileClip(region, idx)
-		if !ok {
-			continue
-		}
-		res, r, err := t.st.Query(ctx, QueryRequest{Region: &localReg, AsOf: AsOfLatest, Strategy: strategy, Workers: workers})
+	var runs []Run
+	err := c.eachTile(ctx, &region, func(t *tileRef, local *tensor.Region) error {
+		res, r, err := t.st.Query(ctx, QueryRequest{Region: local, AsOf: AsOfLatest, Strategy: strategy, Workers: workers})
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		addReadReport(rep, r)
-		hits = c.globalize(hits, res, idx)
+		rep.Add(r)
+		runs = append(runs, Run{Result: res, Origin: t.origin})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return c.finishHits(hits, rep), rep, nil
+	return c.merge(runs, rep), rep, nil
 }
 
 // Kernel executes the additive push-down kernels across tiles: each
 // tile computes its local answer and the partials sum, which is exact
 // for the supported ops because tiles hold disjoint cells. SpMV and
 // TTV are rejected — their operand indexing is global, and the paper's
-// chunked remedy targets storage, not contraction.
+// chunked remedy targets storage, not contraction. A sum_region region
+// must lie inside the global shape (ValidateRegion).
 func (c *Chunked) Kernel(ctx context.Context, req KernelRequest) (*KernelResult, error) {
 	return runKernel(ctx, c.obsReg(), c.kind.String(), req, c.kernelAt)
 }
 
-// kernelAt runs the kernel on every tile and sums the partials into
-// the global result, in tile order.
+// kernelAt runs the kernel on every tile it covers and sums the
+// partials into the global result, in row-major tile order.
 func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResult, error) {
-	dims := c.shape.Dims()
+	shape := c.grid.shape
 	size := uint64(1)
 	switch req.Op {
 	case KernelSumAll, KernelLiveNNZ:
@@ -224,46 +136,35 @@ func (c *Chunked) kernelAt(ctx context.Context, req KernelRequest) (*KernelResul
 		if req.Region == nil {
 			return nil, fmt.Errorf("store: %w: kernel %v needs a region", ErrBadRequest, req.Op)
 		}
-		if req.Region.Dims() != dims {
-			return nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+		if err := ValidateRegion(shape, *req.Region); err != nil {
+			return nil, err
 		}
 	case KernelNNZPerSlice:
-		if req.Mode < 0 || req.Mode >= dims {
-			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, dims)
+		if req.Mode < 0 || req.Mode >= shape.Dims() {
+			return nil, fmt.Errorf("store: %w: mode %d of %d-dim store", ErrBadRequest, req.Mode, shape.Dims())
 		}
-		size = c.shape[req.Mode]
+		size = shape[req.Mode]
 	default:
 		return nil, fmt.Errorf("store: %w: kernel %v is not supported on chunked stores", ErrBadRequest, req.Op)
 	}
 	total := &KernelResult{Values: make([]float64, size), Report: &PushReport{}}
-	for _, t := range c.sortedTiles() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		idx := c.tileIndexFromKey(t.key)
-		if idx == nil {
-			continue
-		}
-		sub := KernelRequest{Op: req.Op, Mode: req.Mode, Workers: req.Workers}
-		if req.Region != nil {
-			localReg, ok := c.tileClip(*req.Region, idx)
-			if !ok {
-				continue
-			}
-			sub.Region = &localReg
-		}
-		r, err := t.st.Kernel(ctx, sub)
+	err := c.eachTile(ctx, req.Region, func(t *tileRef, local *tensor.Region) error {
+		r, err := t.st.Kernel(ctx, KernelRequest{Op: req.Op, Region: local, Mode: req.Mode, Workers: req.Workers})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var origin uint64 // where a per-slice partial lands in the global histogram
 		if req.Op == KernelNNZPerSlice {
-			origin = idx[req.Mode] * c.tile[req.Mode]
+			origin = t.origin[req.Mode]
 		}
 		for i, v := range r.Values {
 			total.Values[origin+uint64(i)] += v
 		}
-		addPushReport(total.Report, r.Report)
+		total.Report.Add(r.Report)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return total, nil
 }

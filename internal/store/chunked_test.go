@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sparseart/internal/core"
@@ -111,6 +112,28 @@ func TestChunkedHandlesOverflowShape(t *testing.T) {
 	if err != nil || res.Coords.Len() != 0 {
 		t.Fatalf("absent probe: %d found, %v", res.Coords.Len(), err)
 	}
+	// A whole-shape region spans 2^100 tile-grid cells but only four
+	// materialized tiles: the tile walk must filter those four rather
+	// than walk the grid.
+	ctx := context.Background()
+	whole := tensor.Region{Start: make([]uint64, 4), Size: shape}
+	for _, strat := range []Strategy{StrategyScan, StrategyAuto} {
+		res, _, err := st.Query(ctx, QueryRequest{Region: &whole, AsOf: AsOfLatest, Strategy: strat})
+		if err != nil || res.Coords.Len() != 4 {
+			t.Fatalf("%v whole-shape read: %v, %v; want 4 points", strat, res, err)
+		}
+	}
+	sum, err := st.Kernel(ctx, KernelRequest{Op: KernelSumRegion, Region: &whole, Workers: 1})
+	if err != nil || sum.Values[0] != 10 {
+		t.Fatalf("whole-shape sum_region: %v, %v; want 10", sum, err)
+	}
+	if _, err := st.DeleteRegion(whole); err != nil {
+		t.Fatal(err)
+	}
+	live, err := st.Kernel(ctx, KernelRequest{Op: KernelLiveNNZ, Workers: 1})
+	if err != nil || live.Values[0] != 0 {
+		t.Fatalf("live cells after a whole-shape delete: %v, %v; want 0", live, err)
+	}
 }
 
 func TestChunkedEdgeTilesClip(t *testing.T) {
@@ -130,7 +153,7 @@ func TestChunkedEdgeTilesClip(t *testing.T) {
 	if err != nil || res.Coords.Len() != 1 || res.Values[0] != 5 {
 		t.Fatalf("clipped tile read: %v %v", res, err)
 	}
-	if got := st.tileShape([]uint64{2}); !got.Equal(tensor.Shape{2}) {
+	if got := st.grid.TileShape([]uint64{2}); !got.Equal(tensor.Shape{2}) {
 		t.Fatalf("edge tile shape = %v, want {2}", got)
 	}
 }
@@ -234,12 +257,12 @@ func TestTileIndexFromKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := st.tileIndexFromKey("t-3-12")
-	if idx == nil || idx[0] != 3 || idx[1] != 12 {
+	idx, ok := st.grid.ParseKey("t-3-12")
+	if !ok || idx[0] != 3 || idx[1] != 12 {
 		t.Fatalf("parsed %v", idx)
 	}
-	for _, bad := range []string{"t-3", "x-3-12", "t-3-12-9", "t-a-b"} {
-		if st.tileIndexFromKey(bad) != nil {
+	for _, bad := range []string{"t-3", "x-3-12", "t-3-12-9", "t-a-b", "t-03-12", "t--12", "t-+3-12", "t-99999999999999999999-1"} {
+		if _, ok := st.grid.ParseKey(bad); ok {
 			t.Errorf("bad key %q parsed", bad)
 		}
 	}
@@ -339,3 +362,46 @@ func TestChunkedTileCreationRace(t *testing.T) {
 		t.Fatalf("%d tiles, want %d", n, writes)
 	}
 }
+
+// TestReportAddSumsEveryCounter: Add sums every duration and count of
+// the three reports and keeps the receiver's identity fields, so a
+// field added to a report later cannot be silently dropped from the
+// tile and shard sums.
+func TestReportAddSumsEveryCounter(t *testing.T) {
+	keep := map[string]bool{"Epoch": true, "Shards": true, "Name": true}
+	for _, rep := range []interface{ add() }{&ReadReport{}, &PushReport{}, &WriteReport{}} {
+		v := reflect.ValueOf(rep).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanInt() {
+				f.SetInt(int64(i + 1))
+			} else if f.CanUint() {
+				f.SetUint(uint64(i + 1))
+			}
+		}
+		rep.add()
+		for i := 0; i < v.NumField(); i++ {
+			name, f := v.Type().Field(i).Name, v.Field(i)
+			want := int64(2 * (i + 1))
+			if keep[name] {
+				want = int64(i + 1)
+			}
+			var got int64
+			switch {
+			case f.CanInt():
+				got = f.Int()
+			case f.CanUint():
+				got = int64(f.Uint())
+			default:
+				continue
+			}
+			if got != want {
+				t.Errorf("%s.%s = %d after adding it to itself, want %d", v.Type().Name(), name, got, want)
+			}
+		}
+	}
+}
+
+// add adds a copy of each report to itself.
+func (r *ReadReport) add()  { c := *r; r.Add(&c) }
+func (r *PushReport) add()  { c := *r; r.Add(&c) }
+func (r *WriteReport) add() { c := *r; r.Add(&c) }

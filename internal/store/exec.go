@@ -262,10 +262,13 @@ func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 	q.root = root
 
 	var p fragPlan
+	var err error
 	if req.Strategy == StrategyDefault {
 		q.probe = req.Probe
 		if req.Region != nil {
-			q.probe = req.Region.Coords()
+			if q.probe, err = regionProbe(*req.Region); err != nil {
+				return nil, nil, err
+			}
 		}
 		p = v.plan(q.probe, nil, limit)
 	} else {
@@ -273,7 +276,9 @@ func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 		p = v.plan(nil, q.region, limit)
 		for _, fi := range p.data {
 			if !q.scans(&v.frags[fi]) {
-				q.probe = req.Region.Coords()
+				if q.probe, err = regionProbe(*req.Region); err != nil {
+					return nil, nil, err
+				}
 				break
 			}
 		}
@@ -292,7 +297,7 @@ func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 		if i > 0 {
 			hits = append(hits, q.parts[i].hits...)
 		}
-		addReadReport(rep, &q.parts[i].rep)
+		rep.Add(&q.parts[i].rep)
 	}
 	if len(q.parts) > 1 {
 		// Concurrent loads can leave modeled cost no worker drained.
@@ -320,20 +325,21 @@ func (s *Store) queryAt(ctx context.Context, req QueryRequest) (*Result, *ReadRe
 	return res, rep, nil
 }
 
-// addReadReport sums src's counts and phase durations into dst.
-func addReadReport(dst, src *ReadReport) {
-	dst.IO += src.IO
-	dst.Extract += src.Extract
-	dst.Probe += src.Probe
-	dst.Merge += src.Merge
-	dst.Fragments += src.Fragments
-	dst.Probed += src.Probed
-	dst.Scans += src.Scans
-	dst.Candidates += src.Candidates
-	dst.FilterSkipped += src.FilterSkipped
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.BytesRead += src.BytesRead
+// maxProbeBytes bounds the probe list a region read may expand to when
+// it probes cell by cell: 1 GiB, the value of wire.MaxFrame, so no
+// region probes more cells than a client could send as a probe target.
+const maxProbeBytes = 1 << 30
+
+// regionProbe expands a region into the probe list probing visits, or
+// rejects it with ErrBadRequest when the list (cells × dims × 8 bytes)
+// would exceed maxProbeBytes. Scanning has no such bound.
+func regionProbe(region tensor.Region) (*tensor.Coords, error) {
+	cells, ok := region.Volume()
+	if !ok || cells > maxProbeBytes/uint64(8*region.Dims()) {
+		return nil, fmt.Errorf("store: %w: region of size %v is too large to probe cell by cell; read it with StrategyScan or StrategyAuto",
+			ErrBadRequest, region.Size)
+	}
+	return region.Coords(), nil
 }
 
 // pushSink folds the live cells of each visited fragment into its
@@ -376,18 +382,9 @@ func runPush[A any](ctx context.Context, s *Store, region *tensor.Region, worker
 	err := runFragments(ctx, p.data, n, k)
 	rep := &PushReport{Epoch: v.epoch, Skipped: p.skipped}
 	for i := range k.stats {
-		addPushReport(rep, &k.stats[i])
+		rep.Add(&k.stats[i])
 	}
 	return k.accs, rep, err
-}
-
-// addPushReport sums src's masking counts into dst.
-func addPushReport(dst, src *PushReport) {
-	dst.Fragments += src.Fragments
-	dst.Skipped += src.Skipped
-	dst.Cells += src.Cells
-	dst.Shadowed += src.Shadowed
-	dst.Dead += src.Dead
 }
 
 // scanFragment visits one fragment's stored points inside region, or

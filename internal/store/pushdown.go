@@ -52,6 +52,19 @@ type PushReport struct {
 	Epoch uint64
 }
 
+// Add sums o's counts into r; a nil o adds nothing. Epoch names one
+// pinned version, so a sum keeps r's.
+func (r *PushReport) Add(o *PushReport) {
+	if o == nil {
+		return
+	}
+	r.Fragments += o.Fragments
+	r.Skipped += o.Skipped
+	r.Cells += o.Cells
+	r.Shadowed += o.Shadowed
+	r.Dead += o.Dead
+}
+
 // errStopPush is the sentinel liveFragment returns when the consumer's
 // visit callback stops the walk; it never escapes the package.
 var errStopPush = errors.New("store: push-down stopped by consumer")
@@ -363,11 +376,8 @@ func (s *Store) SumRegion(region tensor.Region, workers int) (float64, *PushRepo
 // SumRegionContext is SumRegion under a context; cancellation stops
 // fragment work at the next fragment boundary.
 func (s *Store) SumRegionContext(ctx context.Context, region tensor.Region, workers int) (float64, *PushReport, error) {
-	if region.Dims() != s.shape.Dims() {
-		return 0, nil, fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, region.Dims(), s.shape.Dims())
-	}
-	if err := region.Validate(s.shape); err != nil {
-		return 0, nil, fmt.Errorf("store: %w: %w", ErrBadRequest, err)
+	if err := ValidateRegion(s.shape, region); err != nil {
+		return 0, nil, err
 	}
 	return s.sum(ctx, "sum_region", &region, workers)
 }

@@ -96,9 +96,13 @@ type QueryRequest struct {
 	Workers int
 }
 
-// validate rejects structurally bad requests before any view is
-// pinned, including coordinates that do not have the store's dims.
-func (req *QueryRequest) validate(dims int) error {
+// Validate rejects a request that is malformed for a store of the given
+// shape before any view is pinned: no target or two, an unknown
+// strategy, a strategy or version the target cannot take, probe
+// coordinates without the store's dims, or a region breaking the
+// region contract (ValidateRegion). Store, Chunked and serve.Router all
+// check requests with it.
+func (req *QueryRequest) Validate(shape tensor.Shape) error {
 	if (req.Probe == nil) == (req.Region == nil) {
 		return fmt.Errorf("store: %w: exactly one of Probe or Region must be set", ErrBadRequest)
 	}
@@ -114,11 +118,11 @@ func (req *QueryRequest) validate(dims int) error {
 	if req.Region != nil && req.AsOf != AsOfLatest {
 		return fmt.Errorf("store: %w: as-of reads take a probe target", ErrBadRequest)
 	}
-	if req.Probe != nil && req.Probe.Dims() != dims {
-		return fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), dims)
+	if req.Probe != nil && req.Probe.Dims() != shape.Dims() {
+		return fmt.Errorf("store: %w: %d-dim probe for %d-dim store", ErrShapeMismatch, req.Probe.Dims(), shape.Dims())
 	}
-	if req.Region != nil && req.Region.Dims() != dims {
-		return fmt.Errorf("store: %w: %d-dim region for %d-dim store", ErrShapeMismatch, req.Region.Dims(), dims)
+	if req.Region != nil {
+		return ValidateRegion(shape, *req.Region)
 	}
 	return nil
 }
@@ -129,13 +133,8 @@ func (req *QueryRequest) validate(dims int) error {
 // fragment: a canceled ctx stops before the next fetch/probe/scan and
 // returns ctx.Err().
 func (s *Store) Query(ctx context.Context, req QueryRequest) (*Result, *ReadReport, error) {
-	if err := req.validate(s.shape.Dims()); err != nil {
+	if err := req.Validate(s.shape); err != nil {
 		return nil, nil, err
-	}
-	if req.Region != nil {
-		if err := req.Region.Validate(s.shape); err != nil {
-			return nil, nil, fmt.Errorf("store: %w: %w", ErrBadRequest, err)
-		}
 	}
 	reg := s.obsReg()
 	sp, ctx := reg.StartCtx(ctx, obsQuery)

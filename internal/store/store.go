@@ -590,6 +590,21 @@ type WriteReport struct {
 // Sum returns the total write time.
 func (r WriteReport) Sum() time.Duration { return r.Build + r.Reorg + r.Write + r.Others }
 
+// Add sums o's phase durations and sizes into r; a nil o adds nothing.
+// Name and Epoch identify one fragment and one manifest version, so a
+// sum keeps r's.
+func (r *WriteReport) Add(o *WriteReport) {
+	if o == nil {
+		return
+	}
+	r.Build += o.Build
+	r.Reorg += o.Reorg
+	r.Write += o.Write
+	r.Others += o.Others
+	r.Bytes += o.Bytes
+	r.NNZ += o.NNZ
+}
+
 // takeCost drains modeled I/O cost when the FS has a cost model,
 // otherwise returns zero and ok=false.
 func (s *Store) takeCost() (fsim.Cost, bool) {
@@ -802,6 +817,27 @@ type ReadReport struct {
 
 // Sum returns the total read time.
 func (r ReadReport) Sum() time.Duration { return r.IO + r.Extract + r.Probe + r.Merge }
+
+// Add sums o's phase durations and counts into r; a nil o adds nothing.
+// Epoch and Shards describe the request as a whole, so a sum keeps r's.
+func (r *ReadReport) Add(o *ReadReport) {
+	if o == nil {
+		return
+	}
+	r.IO += o.IO
+	r.Extract += o.Extract
+	r.Probe += o.Probe
+	r.Merge += o.Merge
+	r.Fragments += o.Fragments
+	r.Probed += o.Probed
+	r.Found += o.Found
+	r.Scans += o.Scans
+	r.Candidates += o.Candidates
+	r.FilterSkipped += o.FilterSkipped
+	r.CacheHits += o.CacheHits
+	r.CacheMisses += o.CacheMisses
+	r.BytesRead += o.BytesRead
+}
 
 // Result is a read's output: the found points and their values, sorted
 // by row-major linear address (Algorithm 3 line 12).

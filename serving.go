@@ -20,6 +20,11 @@ import (
 type (
 	// QueryRequest describes one read: a probe list or a region, an
 	// as-of version bound, an execution strategy, and a worker budget.
+	// A region must lie inside the shape with no zero extent; Store,
+	// ChunkedStore and ShardRouter all reject any other region with
+	// ErrBadRequest (ErrShapeMismatch for the wrong rank). A region
+	// too large to probe cell by cell (a probe list over 1 GiB) is
+	// ErrBadRequest under StrategyDefault; scan or auto reads it.
 	QueryRequest = store.QueryRequest
 	// QueryStrategy selects how a region query executes.
 	QueryStrategy = store.Strategy
